@@ -36,31 +36,6 @@
 using namespace equalizer;
 using namespace equalizer::bench;
 
-namespace
-{
-
-/** Split a comma-separated list, dropping empty entries. */
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        const std::size_t comma = csv.find(',', pos);
-        const std::string item = csv.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
-    }
-    return out;
-}
-
-} // namespace
-
 int
 main(int argc, char **argv)
 {
@@ -69,25 +44,23 @@ main(int argc, char **argv)
         std::vector<Knob>{
             {"kernels", "roster kernels to autotune", {}},
             {"prefix", "shared warm-up invocations", {}},
-            {"threads", "worker threads (default: EQ_THREADS or "
-                        "hardware)", {}},
+            {"threads", "worker threads (1 = serial, 0 = hardware)", {}},
             {"probe_points", "probe simulations the model fits to", {}},
             {"pareto_slack", "epsilon of the predicted frontier cut",
              {}},
             {"max_cta", "cap on the CTA axis (reduced-cost smoke run)",
              {}},
             {"export", "write the model sweep tables (.csv/.json)",
-             {"json"}},
+             {}},
         });
     const std::vector<std::string> kernels =
-        splitCsv(cfg.getString("kernels", "lbm,kmn"));
+        cfg.getList("kernels", "lbm,kmn");
     const int prefix = static_cast<int>(cfg.getInt("prefix", 2));
     const int max_cta = static_cast<int>(cfg.getInt("max_cta", 0));
     const std::string json_path = cfg.getString("export", "");
 
-    ExperimentRunner runner = makeRunner(
-        GpuConfig::gtx480(),
-        static_cast<int>(cfg.getInt("threads", -1)));
+    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480(),
+                            static_cast<int>(cfg.getInt("threads", 1)));
     const GpuConfig gcfg = runner.gpuConfig();
 
     ExportSink sink = ExportSink::sweepTable();

@@ -16,15 +16,12 @@
  *
  * Usage:
  *   bench_cycles_per_sec [kernels=a,b,c] [threads=<n>] [repeats=<n>]
- *                        [fast_path=0|1] [compare=0|1] [shim=0|1]
+ *                        [fast_path=0|1] [compare=0|1] [serve=0|1]
  *                        [export=<path>]
  *   repeats=N times each kernel N times and keeps the best wall time
  *   (simulated results are identical across repeats by construction).
  *   compare=1 additionally times each kernel with fast_path=0 and
  *   reports the fast-path wall-clock speedup.
- *   shim=1 (default) appends a "shim:lbm" row timing a single-kernel
- *   run through the deprecated runKernelsConcurrent() tenant shim, so
- *   the perf gate tracks the tenant machinery's overhead too.
  *   serve=1 (default) appends "serve:poisson" and "serve:edf" rows
  *   timing a fixed serving workload through RequestServer under the
  *   preemptive and earliest-deadline-first dispatchers
@@ -34,13 +31,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 
 #include "bench_util.hh"
 #include "common/config.hh"
 #include "gpu/gpu_top.hh"
 #include "harness/export.hh"
-#include "kernels/synthetic_kernel.hh"
 #include "serve/arrival.hh"
 #include "serve/server.hh"
 
@@ -50,17 +45,6 @@ using namespace equalizer::bench;
 namespace
 {
 
-std::vector<std::string>
-parseKernelList(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        out.push_back(tok);
-    return out;
-}
-
 /** Best-of-@p repeats wall seconds plus the (identical) run result. */
 struct TimedRun
 {
@@ -68,18 +52,12 @@ struct TimedRun
     AppRunResult result;
 };
 
-/** Best-of-@p repeats wall seconds for a single-kernel shim co-run. */
-struct TimedShim
-{
-    double wallSeconds = 0.0;
-    RunMetrics metrics;
-};
-
 /** Best-of-@p repeats wall seconds for the fixed serving workload. */
 struct TimedServe
 {
     double wallSeconds = 0.0;
     ServeSummary summary;
+    std::uint64_t fastForwardedCycles = 0;
 };
 
 /**
@@ -119,24 +97,7 @@ timeServe(const GpuConfig &gcfg, int repeats, ServePolicy policy,
         if (i == 0 || wall.count() < out.wallSeconds)
             out.wallSeconds = wall.count();
         out.summary = std::move(rep.summary);
-    }
-    return out;
-}
-
-TimedShim
-timeShim(const GpuConfig &gcfg, int repeats, const ZooEntry &entry)
-{
-    TimedShim out;
-    for (int i = 0; i < repeats; ++i) {
-        GpuTop gpu(gcfg);
-        SyntheticKernel launch(entry.params, 0);
-        const auto start = std::chrono::steady_clock::now();
-        RunMetrics m = gpu.runKernelsConcurrent({&launch});
-        const std::chrono::duration<double> wall =
-            std::chrono::steady_clock::now() - start;
-        if (i == 0 || wall.count() < out.wallSeconds)
-            out.wallSeconds = wall.count();
-        out.metrics = std::move(m);
+        out.fastForwardedCycles = gpu.fastForwardedCycles();
     }
     return out;
 }
@@ -161,6 +122,45 @@ timeKernel(const GpuConfig &gcfg, int threads, int repeats,
     return out;
 }
 
+/** One table row: its exported cells and its printed form. */
+struct ThroughputRow
+{
+    std::vector<ExportCell> cells;
+    std::vector<std::string> printed;
+
+    ThroughputRow(const std::string &label, double wall_s,
+                  std::uint64_t cycles, std::uint64_t ff_cycles)
+    {
+        const double cps =
+            wall_s > 0.0 ? static_cast<double>(cycles) / wall_s : 0.0;
+        const double ff_ratio =
+            cycles ? static_cast<double>(ff_cycles) /
+                         static_cast<double>(cycles)
+                   : 0.0;
+        cells = {ExportCell::str(label), ExportCell::num(wall_s),
+                 ExportCell::integer(static_cast<std::int64_t>(cycles)),
+                 ExportCell::num(cps),
+                 ExportCell::integer(static_cast<std::int64_t>(ff_cycles)),
+                 ExportCell::num(ff_ratio)};
+        printed = {label,
+                   fmt(wall_s, 3),
+                   std::to_string(cycles),
+                   fmt(cps, 0),
+                   std::to_string(ff_cycles),
+                   fmt(ff_ratio, 3)};
+    }
+
+    /** Append the compare=1 columns. */
+    void
+    addComparison(double slow_wall_s, double speedup)
+    {
+        cells.insert(cells.end(), {ExportCell::num(slow_wall_s),
+                                   ExportCell::num(speedup)});
+        printed.insert(printed.end(),
+                       {fmt(slow_wall_s, 3), fmt(speedup, 2) + "x"});
+    }
+};
+
 } // namespace
 
 int
@@ -175,21 +175,17 @@ main(int argc, char **argv)
             {"fast_path", "enable the cycle-skipping fast path", {}},
             {"compare",
              "also time fast_path=0 and report the speedup", {}},
-            {"shim",
-             "append a shim:lbm row through runKernelsConcurrent", {}},
             {"serve",
              "append a serve:poisson row through RequestServer", {}},
-            {"export", "write the throughput table (.csv/.json)",
-             {"json"}},
+            {"export", "write the throughput table (.csv/.json)", {}},
         });
     const std::vector<std::string> kernels =
-        parseKernelList(cfg.getString("kernels", "sgemm,lbm,kmn"));
+        cfg.getList("kernels", "sgemm,lbm,kmn");
     const int threads = static_cast<int>(cfg.getInt("threads", 1));
     const int repeats =
         std::max(1, static_cast<int>(cfg.getInt("repeats", 3)));
     const bool fast_path = cfg.getBool("fast_path", true);
     const bool compare = cfg.getBool("compare", false);
-    const bool shim = cfg.getBool("shim", true);
     const bool serve = cfg.getBool("serve", true);
     const std::string export_path = cfg.getString("export", "");
 
@@ -219,33 +215,18 @@ main(int argc, char **argv)
     sink.meta("fast_path", ExportCell::integer(fast_path ? 1 : 0));
 
     TablePrinter t(headers);
+    auto emit = [&](const ThroughputRow &row) {
+        sink.row(row.cells);
+        t.row(row.printed);
+    };
+
     for (const auto &name : kernels) {
         const ZooEntry &entry = KernelZoo::byName(name);
         progress("timing " + name);
         const TimedRun run = timeKernel(gcfg, threads, repeats, entry);
-
         const auto &m = run.result.total;
-        const double cps =
-            run.wallSeconds > 0.0
-                ? static_cast<double>(m.smCycles) / run.wallSeconds
-                : 0.0;
-        const double ff_ratio =
-            m.smCycles
-                ? static_cast<double>(m.fastForwardedCycles) /
-                      static_cast<double>(m.smCycles)
-                : 0.0;
-
-        std::vector<ExportCell> cells = {
-            ExportCell::str(name), ExportCell::num(run.wallSeconds),
-            ExportCell::integer(static_cast<std::int64_t>(m.smCycles)),
-            ExportCell::num(cps),
-            ExportCell::integer(
-                static_cast<std::int64_t>(m.fastForwardedCycles)),
-            ExportCell::num(ff_ratio)};
-        std::vector<std::string> row = {
-            name, fmt(run.wallSeconds, 3), std::to_string(m.smCycles),
-            fmt(cps, 0), std::to_string(m.fastForwardedCycles),
-            fmt(ff_ratio, 3)};
+        ThroughputRow row(name, run.wallSeconds, m.smCycles,
+                          m.fastForwardedCycles);
 
         if (compare) {
             GpuConfig slow_cfg = gcfg;
@@ -257,51 +238,12 @@ main(int argc, char **argv)
                 fatal("fast/slow cycle mismatch on ", name, ": ",
                       m.smCycles, " vs ", slow.result.total.smCycles);
             }
-            const double speedup = run.wallSeconds > 0.0
-                                       ? slow.wallSeconds /
-                                             run.wallSeconds
-                                       : 0.0;
-            cells.insert(cells.end(),
-                         {ExportCell::num(slow.wallSeconds),
-                          ExportCell::num(speedup)});
-            row.insert(row.end(), {fmt(slow.wallSeconds, 3),
-                                   fmt(speedup, 2) + "x"});
+            row.addComparison(slow.wallSeconds,
+                              run.wallSeconds > 0.0
+                                  ? slow.wallSeconds / run.wallSeconds
+                                  : 0.0);
         }
-        sink.row(cells);
-        t.row(row);
-    }
-
-    if (shim) {
-        // Single-kernel run through the tenant shim: bit-identical
-        // simulated cycles (the shim vetoes the fast path, so ff=0)
-        // but timed separately so the perf gate catches overhead in
-        // the invocation/tenant bookkeeping itself.
-        const ZooEntry &entry = KernelZoo::byName("lbm");
-        progress("timing shim:lbm (runKernelsConcurrent)");
-        const TimedShim run = timeShim(gcfg, repeats, entry);
-        const double cps =
-            run.wallSeconds > 0.0
-                ? static_cast<double>(run.metrics.smCycles) /
-                      run.wallSeconds
-                : 0.0;
-        std::vector<ExportCell> cells = {
-            ExportCell::str("shim:lbm"),
-            ExportCell::num(run.wallSeconds),
-            ExportCell::integer(
-                static_cast<std::int64_t>(run.metrics.smCycles)),
-            ExportCell::num(cps), ExportCell::integer(0),
-            ExportCell::num(0.0)};
-        std::vector<std::string> row = {
-            "shim:lbm", fmt(run.wallSeconds, 3),
-            std::to_string(run.metrics.smCycles), fmt(cps, 0), "0",
-            fmt(0.0, 3)};
-        if (compare) {
-            cells.insert(cells.end(), {ExportCell::num(run.wallSeconds),
-                                       ExportCell::num(1.0)});
-            row.insert(row.end(), {fmt(run.wallSeconds, 3), "1.00x"});
-        }
-        sink.row(cells);
-        t.row(row);
+        emit(row);
     }
 
     if (serve) {
@@ -324,31 +266,12 @@ main(int argc, char **argv)
                      " (RequestServer)");
             const TimedServe run =
                 timeServe(gcfg, repeats, sr.policy, sr.sloCycles);
-            const double cps =
-                run.wallSeconds > 0.0
-                    ? static_cast<double>(run.summary.executedCycles) /
-                          run.wallSeconds
-                    : 0.0;
-            std::vector<ExportCell> cells = {
-                ExportCell::str(sr.label),
-                ExportCell::num(run.wallSeconds),
-                ExportCell::integer(static_cast<std::int64_t>(
-                    run.summary.executedCycles)),
-                ExportCell::num(cps), ExportCell::integer(0),
-                ExportCell::num(0.0)};
-            std::vector<std::string> row = {
-                sr.label, fmt(run.wallSeconds, 3),
-                std::to_string(run.summary.executedCycles), fmt(cps, 0),
-                "0", fmt(0.0, 3)};
-            if (compare) {
-                cells.insert(cells.end(),
-                             {ExportCell::num(run.wallSeconds),
-                              ExportCell::num(1.0)});
-                row.insert(row.end(),
-                           {fmt(run.wallSeconds, 3), "1.00x"});
-            }
-            sink.row(cells);
-            t.row(row);
+            ThroughputRow row(sr.label, run.wallSeconds,
+                              run.summary.executedCycles,
+                              run.fastForwardedCycles);
+            if (compare)
+                row.addComparison(run.wallSeconds, 1.0);
+            emit(row);
         }
     }
     t.print();

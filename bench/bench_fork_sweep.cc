@@ -55,9 +55,8 @@ main(int argc, char **argv)
             {"kernel", "roster kernel to sweep", {}},
             {"invocations", "synthesized invocation count", {}},
             {"prefix", "shared warm-up invocations", {}},
-            {"threads", "worker threads (default: EQ_THREADS or "
-                        "hardware)", {}},
-            {"export", "write the sweep table (.csv/.json)", {"json"}},
+            {"threads", "worker threads (1 = serial, 0 = hardware)", {}},
+            {"export", "write the sweep table (.csv/.json)", {}},
         });
     const std::string kernel = cfg.getString("kernel", "sgemm");
     const int invocations =
@@ -82,9 +81,8 @@ main(int argc, char **argv)
            std::to_string(prefix) + "-invocation shared prefix of " +
            std::to_string(invocations) + ")");
 
-    ExperimentRunner runner = makeRunner(
-        GpuConfig::gtx480(),
-        static_cast<int>(cfg.getInt("threads", -1)));
+    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480(),
+                            static_cast<int>(cfg.getInt("threads", 1)));
     SweepResult cold, warm;
     progress("cold sweep (prefix re-simulated per point)");
     plan.strategy = SweepStrategy::Cold;

@@ -16,7 +16,6 @@
 #include <algorithm>
 #include <chrono>
 #include <memory>
-#include <sstream>
 
 #include "bench_util.hh"
 #include "common/config.hh"
@@ -30,17 +29,6 @@ using namespace equalizer::bench;
 
 namespace
 {
-
-std::vector<std::string>
-splitCsv(const std::string &csv)
-{
-    std::vector<std::string> out;
-    std::stringstream ss(csv);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        out.push_back(tok);
-    return out;
-}
 
 /**
  * Jain's fairness index over @p xs: (sum x)^2 / (n * sum x^2).
@@ -74,13 +62,12 @@ main(int argc, char **argv)
             {"threads", "simulation worker threads (1 = serial)", {}},
             {"repeats", "timings per co-run; best is reported", {}},
             {"export", "write the per-tenant table (.csv/.json)",
-             {"json"}},
+             {}},
         });
 
     const std::vector<std::string> kernels =
-        splitCsv(cfg.getString("tenants", "lbm,kmn"));
-    const std::vector<std::string> limits =
-        splitCsv(cfg.getString("sm_limit", ""));
+        cfg.getList("tenants", "lbm,kmn");
+    const std::vector<std::string> limits = cfg.getList("sm_limit", "");
     if (limits.size() > kernels.size())
         fatal("sm_limit has more entries than tenants");
     const PartitionPolicy partition =
@@ -95,8 +82,8 @@ main(int argc, char **argv)
         CoRunTenant t;
         t.kernel = kernels[i];
         t.name = "t" + std::to_string(i);
-        if (i < limits.size() && !limits[i].empty())
-            t.smLimit = std::stod(limits[i]);
+        if (i < limits.size())
+            t.smLimit = parseSmLimitKnob(limits[i]);
         tenants.push_back(std::move(t));
     }
 

@@ -53,7 +53,7 @@ main(int argc, char **argv)
             {"sms", "number of SMs", {}},
             {"threads", "comma-separated worker-thread counts", {}},
             {"export", "write the scaling table (.csv/.json)",
-             {"json"}},
+             {}},
             {"trace", "also measure tracing overhead per row", {}},
         });
     const std::string kernel = cfg.getString("kernel", "kmn");

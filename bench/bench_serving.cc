@@ -109,7 +109,7 @@ main(int argc, char **argv)
         std::vector<Knob>{
             {"shorts", "short high-priority requests in the burst", {}},
             {"export", "write per-policy summary rows (.csv/.json)",
-             {"json"}},
+             {}},
         });
     const int shorts =
         std::max(1, static_cast<int>(cfg.getInt("shorts", 100)));

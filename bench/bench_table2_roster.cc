@@ -27,16 +27,14 @@ main(int argc, char **argv)
         std::vector<Knob>{
             {"kernels", "truncate the roster to its first n entries",
              {}},
-            {"threads", "worker threads (default: EQ_THREADS or "
-                        "hardware)", {}},
-            {"export", "write measured rows (.csv/.json)", {"json"}},
+            {"threads", "worker threads (1 = serial, 0 = hardware)", {}},
+            {"export", "write measured rows (.csv/.json)", {}},
         });
     const auto limit = cfg.getInt("kernels", -1);
     const std::string json_path = cfg.getString("export", "");
 
-    ExperimentRunner runner = makeRunner(
-        GpuConfig::gtx480(),
-        static_cast<int>(cfg.getInt("threads", -1)));
+    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480(),
+                            static_cast<int>(cfg.getInt("threads", 1)));
     ExportSink sink = ExportSink::metricsTable();
     sink.meta("bench", ExportCell::str("table2_roster"));
 

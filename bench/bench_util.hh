@@ -6,7 +6,6 @@
 #ifndef EQ_BENCH_BENCH_UTIL_HH
 #define EQ_BENCH_BENCH_UTIL_HH
 
-#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
@@ -20,40 +19,6 @@
 
 namespace equalizer::bench
 {
-
-/**
- * Simulation worker threads for benches: the EQ_THREADS environment
- * variable when set (a deprecated alias of the threads= knob),
- * otherwise 0 = hardware concurrency. Results are identical for any
- * value; only wall-clock time changes.
- */
-inline int
-simThreadsFromEnv()
-{
-    const char *v = std::getenv("EQ_THREADS");
-    if (!v)
-        return 0;
-    char *end = nullptr;
-    const long n = std::strtol(v, &end, 10);
-    if (end == v || *end != '\0' || n < 0) {
-        fatal("EQ_THREADS must be a non-negative integer, got '", v,
-              "'");
-    }
-    warn("EQ_THREADS is deprecated; pass threads=", n, " instead");
-    return static_cast<int>(n);
-}
-
-/**
- * An ExperimentRunner honouring the thread override: the threads=
- * knob when given (>= 0), else the EQ_THREADS environment variable.
- */
-inline ExperimentRunner
-makeRunner(GpuConfig cfg = GpuConfig::gtx480(), int threads = -1)
-{
-    return ExperimentRunner(cfg, PowerConfig::gtx480(),
-                            threads >= 0 ? threads
-                                         : simThreadsFromEnv());
-}
 
 /** Categories in the paper's figure order. */
 inline const std::vector<KernelCategory> &

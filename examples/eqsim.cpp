@@ -16,8 +16,9 @@
  *   sms=<n> issue_width=<n> lsu_depth=<n> reg_ports=<n>
  *   scheduler=lrr|gto sm_mhz=<f> mem_mhz=<f>
  *   epoch=<cycles> hysteresis=<n> sample=<cycles>
- *   threads=<n> (simulation worker threads; 0 = hardware concurrency,
- *                1 = serial; results are identical for any value)
+ *   threads=<n> (simulation worker threads; 1 = serial, the default
+ *                and the fastest on one kernel; 0 = hardware
+ *                concurrency; results are identical for any value)
  *   fast_path=<0|1> (cycle-skipping fast path, default on; results are
  *                bit-identical either way — fast_path=0 is the slow
  *                oracle for debugging, see docs/FAST_PATH.md)
@@ -28,9 +29,7 @@
  *   sweep_mode=warm|cold (with warm_start: fork the warmed state via
  *                checkpointing, or re-simulate the prefix cold; the
  *                two modes produce byte-identical metrics, which CI
- *                diffs via export=. The deprecated warm_mode= spelling
- *                and its fork/rerun values still parse, with a
- *                warning)
+ *                diffs via export=)
  *   search=exhaustive|model (VF x CTA autotune over the kernel's
  *                operating-point grid after the warm_start prefix —
  *                docs/AUTOTUNE.md. exhaustive simulates every grid
@@ -81,7 +80,7 @@
  *   list=1 (print the roster, the knob registry and exit)
  *
  * Unknown keys are rejected with a "did you mean" suggestion;
- * deprecated spellings (hyphens, json=) parse with a warning.
+ * hyphenated spellings (warm-start=) parse with a warning.
  */
 
 #include <iostream>
@@ -105,37 +104,31 @@ using namespace equalizer;
 namespace
 {
 
+/** The policy= knob, with Equalizer tuned by epoch=/sample=/hysteresis=. */
 PolicySpec
-resolvePolicy(const std::string &name, const Config &cfg)
+policyKnob(const Config &cfg)
 {
     EqualizerConfig ecfg;
-    ecfg.epochCycles =
-        static_cast<Cycle>(cfg.getInt("epoch", 4096));
-    ecfg.sampleInterval =
-        static_cast<Cycle>(cfg.getInt("sample", 128));
+    ecfg.epochCycles = static_cast<Cycle>(cfg.getInt("epoch", 4096));
+    ecfg.sampleInterval = static_cast<Cycle>(cfg.getInt("sample", 128));
     ecfg.hysteresis = static_cast<int>(cfg.getInt("hysteresis", 3));
+    return policies::byName(cfg.getString("policy", "baseline"), ecfg);
+}
 
-    if (name == "baseline")
-        return policies::baseline();
-    if (name == "sm-high")
-        return policies::smHigh();
-    if (name == "sm-low")
-        return policies::smLow();
-    if (name == "mem-high")
-        return policies::memHigh();
-    if (name == "mem-low")
-        return policies::memLow();
-    if (name == "equalizer-perf")
-        return policies::equalizer(EqualizerMode::Performance, ecfg);
-    if (name == "equalizer-energy")
-        return policies::equalizer(EqualizerMode::Energy, ecfg);
-    if (name == "dyncta")
-        return policies::dynCta();
-    if (name == "ccws")
-        return policies::ccws();
-    if (name.rfind("blocks-", 0) == 0)
-        return policies::staticBlocks(std::stoi(name.substr(7)));
-    fatal("unknown policy '", name, "'");
+/** The threads= knob: simulation worker threads, serial by default. */
+int
+threadsKnob(const Config &cfg)
+{
+    return static_cast<int>(cfg.getInt("threads", 1));
+}
+
+/** The worker pool threads= asks for; nullptr is the serial path. */
+std::unique_ptr<ParallelExecutor>
+executorKnob(const Config &cfg)
+{
+    const int threads = threadsKnob(cfg);
+    return threads == 1 ? nullptr
+                        : std::make_unique<ParallelExecutor>(threads);
 }
 
 /** The documented knob registry (printed by list=1). */
@@ -156,14 +149,15 @@ knobs()
         {"epoch", "Equalizer decision epoch in cycles", {}},
         {"hysteresis", "Equalizer hysteresis threshold", {}},
         {"sample", "warp-state sample interval in cycles", {}},
-        {"threads", "simulation worker threads (0 = hardware)", {}},
+        {"threads",
+         "simulation worker threads (1 = serial, 0 = hardware)", {}},
         {"fast_path",
          "cycle-skipping fast path (1 = on, 0 = slow oracle)", {}},
         {"warm_start", "baseline invocations to warm up before the "
                        "requested policy", {}},
         {"sweep_mode", "warm-up handoff: warm (fork the warmed state) "
                        "or cold (re-simulate the prefix)",
-         {"warm_mode"}},
+         {}},
         {"search",
          "VF x CTA autotune over the operating-point grid: exhaustive "
          "or model",
@@ -175,7 +169,7 @@ knobs()
          "search=model: epsilon of the predicted Pareto frontier cut",
          {}},
         {"export", "write measured metrics (.csv/.json/.trace.json)",
-         {"json"}},
+         {}},
         {"trace", "record an execution trace (.json = Chrome "
                   "trace_event, else binary)", {}},
         {"trace_buf_kb", "per-SM trace ring capacity in KiB", {}},
@@ -221,25 +215,61 @@ knobs()
     return k;
 }
 
-/** Split a comma-separated list, dropping empty entries. */
-std::vector<std::string>
-splitCsv(const std::string &csv)
+/**
+ * The trace= wiring every mode shares: a .json path records in memory
+ * and converts to Chrome trace_event JSON at finish(); any other path
+ * streams the binary format directly to disk.
+ */
+class TraceSession
 {
-    std::vector<std::string> out;
-    std::size_t pos = 0;
-    while (pos <= csv.size()) {
-        const std::size_t comma = csv.find(',', pos);
-        const std::string item =
-            csv.substr(pos, comma == std::string::npos ? std::string::npos
-                                                       : comma - pos);
-        if (!item.empty())
-            out.push_back(item);
-        if (comma == std::string::npos)
-            break;
-        pos = comma + 1;
+  public:
+    explicit TraceSession(const Config &cfg)
+        : path_(cfg.getString("trace", ""))
+    {
+        if (path_.empty())
+            return;
+        TraceConfig tcfg;
+        tcfg.bufKb =
+            static_cast<std::size_t>(cfg.getInt("trace_buf_kb", 64));
+        tcfg.epochCycles =
+            static_cast<Cycle>(cfg.getInt("trace_epoch", 4096));
+        if (chromeTracePath(path_)) {
+            mem_ = std::make_unique<MemoryTraceSink>();
+            tracer_ = std::make_unique<Tracer>(tcfg, *mem_);
+        } else {
+            file_ = std::make_unique<FileTraceSink>(path_);
+            tracer_ = std::make_unique<Tracer>(tcfg, *file_);
+        }
     }
-    return out;
-}
+
+    /** The tracer to install, or nullptr without trace=. */
+    Tracer *tracer() const { return tracer_.get(); }
+
+    /** Drain the tracer, write the Chrome form, print the summary. */
+    void
+    finish()
+    {
+        if (!tracer_)
+            return;
+        tracer_->finish();
+        if (mem_) {
+            writeChromeTraceFile(TraceReader::fromBytes(mem_->serialize()),
+                                 path_);
+        }
+        std::cout << "trace: " << tracer_->eventsRecorded()
+                  << " events -> " << path_;
+        if (tracer_->eventsDropped() > 0)
+            std::cout << " (" << tracer_->eventsDropped()
+                      << " dropped; raise trace_buf_kb)";
+        std::cout << '\n';
+    }
+
+  private:
+    std::string path_;
+    std::unique_ptr<MemoryTraceSink> mem_;
+    std::unique_ptr<FileTraceSink> file_;
+    std::unique_ptr<Tracer> tracer_;
+};
 
 /**
  * The serve= mode (docs/SERVING.md): generate or replay an open-loop
@@ -258,7 +288,6 @@ runServeMode(const Config &cfg, const GpuConfig &gcfg)
     const int devices = static_cast<int>(cfg.getInt("devices", 1));
     if (devices < 1)
         fatal("devices= must be at least 1, got ", devices);
-    const int threads = static_cast<int>(cfg.getInt("threads", 0));
 
     ArrivalSpec spec;
     spec.kind = arrivalKindFromString(cfg.getString("arrival", "poisson"));
@@ -270,12 +299,8 @@ runServeMode(const Config &cfg, const GpuConfig &gcfg)
     spec.sloCycles =
         static_cast<Cycle>(slo_us * gcfg.smNominalHz / 1e6);
     for (const auto &item :
-         splitCsv(cfg.getString("serve_kernels", "prtcl-2:1,bp-1:0"))) {
-        ArrivalMix mix;
-        const std::size_t colon = item.find(':');
-        mix.kernel = item.substr(0, colon);
-        if (colon != std::string::npos)
-            mix.priority = std::stoi(item.substr(colon + 1));
+         cfg.getList("serve_kernels", "prtcl-2:1,bp-1:0")) {
+        ArrivalMix mix = parseArrivalMix(item);
         KernelZoo::byName(mix.kernel); // validate early
         spec.mix.push_back(std::move(mix));
     }
@@ -299,33 +324,14 @@ runServeMode(const Config &cfg, const GpuConfig &gcfg)
             gpus.back()->forkFrom(*gpus.front());
     }
     GpuTop &gpu = *gpus.front();
-    std::unique_ptr<ParallelExecutor> executor;
-    if (threads != 1) {
-        // One shared worker pool: the serve loop steps one device at a
-        // time, so the pool is never contended across devices.
-        executor = std::make_unique<ParallelExecutor>(threads);
-        for (auto &g : gpus)
-            g->setParallelExecutor(executor.get());
-    }
+    // One shared worker pool: the serve loop steps one device at a
+    // time, so the pool is never contended across devices.
+    const auto executor = executorKnob(cfg);
+    for (auto &g : gpus)
+        g->setParallelExecutor(executor.get());
 
-    const std::string trace_path = cfg.getString("trace", "");
-    TraceConfig tcfg;
-    tcfg.bufKb = static_cast<std::size_t>(cfg.getInt("trace_buf_kb", 64));
-    tcfg.epochCycles =
-        static_cast<Cycle>(cfg.getInt("trace_epoch", 4096));
-    std::unique_ptr<MemoryTraceSink> trace_mem;
-    std::unique_ptr<FileTraceSink> trace_file;
-    std::unique_ptr<Tracer> tracer;
-    if (!trace_path.empty()) {
-        if (chromeTracePath(trace_path)) {
-            trace_mem = std::make_unique<MemoryTraceSink>();
-            tracer = std::make_unique<Tracer>(tcfg, *trace_mem);
-        } else {
-            trace_file = std::make_unique<FileTraceSink>(trace_path);
-            tracer = std::make_unique<Tracer>(tcfg, *trace_file);
-        }
-        gpu.setTracer(tracer.get());
-    }
+    TraceSession trace(cfg);
+    gpu.setTracer(trace.tracer());
 
     ServeOptions opts;
     opts.policy = policy;
@@ -349,22 +355,8 @@ runServeMode(const Config &cfg, const GpuConfig &gcfg)
         gpu_ptrs.push_back(g.get());
     RequestServer server(gpu_ptrs, opts);
     const ServeReport rep = server.serve(requests);
-
-    if (tracer) {
-        gpu.setTracer(nullptr);
-        tracer->finish();
-        if (trace_mem) {
-            writeChromeTraceFile(
-                TraceReader::fromBytes(trace_mem->serialize()),
-                trace_path);
-        }
-        std::cout << "trace: " << tracer->eventsRecorded()
-                  << " events -> " << trace_path;
-        if (tracer->eventsDropped() > 0)
-            std::cout << " (" << tracer->eventsDropped()
-                      << " dropped; raise trace_buf_kb)";
-        std::cout << '\n';
-    }
+    gpu.setTracer(nullptr);
+    trace.finish();
 
     if (const std::string export_path = cfg.getString("export", "");
         !export_path.empty()) {
@@ -484,8 +476,7 @@ runSearchMode(const Config &cfg, const GpuConfig &gcfg)
               "'");
     const ZooEntry &entry =
         KernelZoo::byName(cfg.getString("kernel", "kmn"));
-    const int threads = static_cast<int>(cfg.getInt("threads", 0));
-    ExperimentRunner runner(gcfg, PowerConfig::gtx480(), threads);
+    ExperimentRunner runner(gcfg, PowerConfig::gtx480(), threadsKnob(cfg));
 
     SweepPlan plan;
     plan.kernel = entry.params;
@@ -591,18 +582,14 @@ runSearchMode(const Config &cfg, const GpuConfig &gcfg)
 int
 runTenantsMode(const Config &cfg, const GpuConfig &gcfg)
 {
-    const std::vector<std::string> kernels =
-        splitCsv(cfg.getString("tenants", ""));
-    const std::vector<std::string> limits =
-        splitCsv(cfg.getString("sm_limit", ""));
+    const std::vector<std::string> kernels = cfg.getList("tenants", "");
+    const std::vector<std::string> limits = cfg.getList("sm_limit", "");
     if (limits.size() > kernels.size())
         fatal("sm_limit= has ", limits.size(), " entries for ",
               kernels.size(), " tenants");
     const PartitionPolicy partition =
         partitionPolicyFromName(cfg.getString("partition", "rr"));
-    const std::string policy_name = cfg.getString("policy", "baseline");
-    const PolicySpec policy = resolvePolicy(policy_name, cfg);
-    const int threads = static_cast<int>(cfg.getInt("threads", 0));
+    const PolicySpec policy = policyKnob(cfg);
 
     std::vector<CoRunTenant> tenants;
     for (std::size_t i = 0; i < kernels.size(); ++i) {
@@ -615,34 +602,13 @@ runTenantsMode(const Config &cfg, const GpuConfig &gcfg)
     }
 
     GpuTop gpu(gcfg, PowerConfig::gtx480());
-    std::unique_ptr<ParallelExecutor> executor;
-    if (threads != 1) {
-        executor = std::make_unique<ParallelExecutor>(threads);
-        gpu.setParallelExecutor(executor.get());
-    }
+    const auto executor = executorKnob(cfg);
+    gpu.setParallelExecutor(executor.get());
     std::unique_ptr<GpuController> controller = policy.build();
     gpu.setController(controller.get());
 
-    // trace=: same wiring as the single-kernel mode — .json converts
-    // to Chrome trace_event at the end, anything else streams binary.
-    const std::string trace_path = cfg.getString("trace", "");
-    TraceConfig tcfg;
-    tcfg.bufKb = static_cast<std::size_t>(cfg.getInt("trace_buf_kb", 64));
-    tcfg.epochCycles =
-        static_cast<Cycle>(cfg.getInt("trace_epoch", 4096));
-    std::unique_ptr<MemoryTraceSink> trace_mem;
-    std::unique_ptr<FileTraceSink> trace_file;
-    std::unique_ptr<Tracer> tracer;
-    if (!trace_path.empty()) {
-        if (chromeTracePath(trace_path)) {
-            trace_mem = std::make_unique<MemoryTraceSink>();
-            tracer = std::make_unique<Tracer>(tcfg, *trace_mem);
-        } else {
-            trace_file = std::make_unique<FileTraceSink>(trace_path);
-            tracer = std::make_unique<Tracer>(tcfg, *trace_file);
-        }
-        gpu.setTracer(tracer.get());
-    }
+    TraceSession trace(cfg);
+    gpu.setTracer(trace.tracer());
 
     std::cout << "co-run of " << kernels.size() << " tenant(s), policy "
               << policy.name << ", " << gcfg.numSms << " SMs, "
@@ -651,22 +617,8 @@ runTenantsMode(const Config &cfg, const GpuConfig &gcfg)
     CoRunOptions opts;
     opts.partition = partition;
     const CoRunResult r = runCoRun(gpu, tenants, opts);
-
-    if (tracer) {
-        gpu.setTracer(nullptr);
-        tracer->finish();
-        if (trace_mem) {
-            writeChromeTraceFile(
-                TraceReader::fromBytes(trace_mem->serialize()),
-                trace_path);
-        }
-        std::cout << "trace: " << tracer->eventsRecorded()
-                  << " events -> " << trace_path;
-        if (tracer->eventsDropped() > 0)
-            std::cout << " (" << tracer->eventsDropped()
-                      << " dropped; raise trace_buf_kb)";
-        std::cout << '\n';
-    }
+    gpu.setTracer(nullptr);
+    trace.finish();
 
     if (const std::string export_path = cfg.getString("export", "");
         !export_path.empty()) {
@@ -734,9 +686,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    const std::string kernel_name = cfg.getString("kernel", "kmn");
-    const std::string policy_name = cfg.getString("policy", "baseline");
-
     GpuConfig gcfg = GpuConfig::gtx480();
     // (gcfg overrides below also apply to the tenants= co-run mode.)
     gcfg.numSms = static_cast<int>(cfg.getInt("sms", gcfg.numSms));
@@ -763,47 +712,19 @@ main(int argc, char **argv)
     if (!cfg.getString("search", "").empty())
         return runSearchMode(cfg, gcfg);
 
+    const std::string kernel_name = cfg.getString("kernel", "kmn");
     const ZooEntry &entry = KernelZoo::byName(kernel_name);
-    const int threads = static_cast<int>(cfg.getInt("threads", 0));
     const int warm_start =
         static_cast<int>(cfg.getInt("warm_start", 0));
-    std::string sweep_mode = cfg.getString("sweep_mode", "warm");
-    if (sweep_mode == "fork" || sweep_mode == "rerun") {
-        const std::string canonical =
-            sweep_mode == "fork" ? "warm" : "cold";
-        warn("sweep_mode value '", sweep_mode,
-             "' is deprecated; use sweep_mode=", canonical);
-        sweep_mode = canonical;
-    }
+    const std::string sweep_mode = cfg.getString("sweep_mode", "warm");
     const SweepStrategy strategy = sweepStrategyFromName(sweep_mode);
     if (strategy == SweepStrategy::Model)
         fatal("sweep_mode=model is not a warm-start handoff; use "
               "search=model for the autotuner");
-    ExperimentRunner runner(gcfg, PowerConfig::gtx480(), threads);
-    const PolicySpec policy = resolvePolicy(policy_name, cfg);
-
-    // trace=: a .json path records in memory and converts to Chrome
-    // trace_event JSON at the end; anything else streams the binary
-    // format directly to disk.
-    const std::string trace_path = cfg.getString("trace", "");
-    TraceConfig tcfg;
-    tcfg.bufKb =
-        static_cast<std::size_t>(cfg.getInt("trace_buf_kb", 64));
-    tcfg.epochCycles =
-        static_cast<Cycle>(cfg.getInt("trace_epoch", 4096));
-    std::unique_ptr<MemoryTraceSink> trace_mem;
-    std::unique_ptr<FileTraceSink> trace_file;
-    std::unique_ptr<Tracer> tracer;
-    if (!trace_path.empty()) {
-        if (chromeTracePath(trace_path)) {
-            trace_mem = std::make_unique<MemoryTraceSink>();
-            tracer = std::make_unique<Tracer>(tcfg, *trace_mem);
-        } else {
-            trace_file = std::make_unique<FileTraceSink>(trace_path);
-            tracer = std::make_unique<Tracer>(tcfg, *trace_file);
-        }
-        runner.setTracer(tracer.get());
-    }
+    ExperimentRunner runner(gcfg, PowerConfig::gtx480(), threadsKnob(cfg));
+    const PolicySpec policy = policyKnob(cfg);
+    TraceSession trace(cfg);
+    runner.setTracer(trace.tracer());
 
     std::cout << "kernel " << kernel_name << " ("
               << kernelCategoryName(entry.params.category) << "), policy "
@@ -833,21 +754,7 @@ main(int argc, char **argv)
         r = runner.run(entry.params, policy);
     }
     const auto &m = r.total;
-
-    if (tracer) {
-        tracer->finish();
-        if (trace_mem) {
-            writeChromeTraceFile(
-                TraceReader::fromBytes(trace_mem->serialize()),
-                trace_path);
-        }
-        std::cout << "trace: " << tracer->eventsRecorded()
-                  << " events -> " << trace_path;
-        if (tracer->eventsDropped() > 0)
-            std::cout << " (" << tracer->eventsDropped()
-                      << " dropped; raise trace_buf_kb)";
-        std::cout << '\n';
-    }
+    trace.finish();
 
     if (const std::string export_path = cfg.getString("export", "");
         !export_path.empty()) {

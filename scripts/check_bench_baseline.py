@@ -24,7 +24,7 @@ Usage:
 
 ``--expect NAME`` (repeatable) fails the gate when the named row is
 missing from the fresh export — use it to pin rows the bench is
-expected to produce (e.g. ``--expect shim:lbm``) so a silently dropped
+expected to produce (e.g. ``--expect serve:edf``) so a silently dropped
 workload can't pass as "nothing regressed".
 
 Exit status: 0 on pass (warnings allowed), 1 on any failure.

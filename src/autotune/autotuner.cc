@@ -7,7 +7,6 @@
 #include "autotune/model.hh"
 #include "autotune/occupancy.hh"
 #include "common/log.hh"
-#include "kernels/synthetic_kernel.hh"
 #include "trace/sink.hh"
 #include "trace/tracer.hh"
 
@@ -178,28 +177,17 @@ runModelSweep(ExperimentRunner &runner, const SweepPlan &plan)
 
     // --- Warm the parent once; every simulated point forks it.
     GpuTop parent(runner.gpuCfg_, runner.powerCfg_);
-    parent.setParallelExecutor(runner.executor_.get());
-    if (runner.tracer_)
-        parent.setTracer(runner.tracer_);
-    auto warmup = plan.prefixPolicy.build();
-    parent.setController(warmup.get());
-    for (int inv = 0; inv < plan.prefixInvocations; ++inv) {
-        SyntheticKernel launch(plan.kernel, inv);
-        parent.runKernel(launch);
-        ++runner.stats_.counter("sweep.prefix_invocations");
-    }
-    parent.setController(nullptr);
+    runner.wire(parent);
+    runner.runPrefix(parent, plan);
 
     SweepResult result;
     std::vector<int> simulated_ids;
     auto simulatePoint = [&](const OperatingPoint &op,
                              Tracer *point_tracer) {
         GpuTop child(runner.gpuCfg_, runner.powerCfg_);
-        child.setParallelExecutor(runner.executor_.get());
-        if (point_tracer)
+        runner.wire(child);
+        if (point_tracer) // only passed when the runner has no tracer
             child.setTracer(point_tracer);
-        else if (runner.tracer_)
-            child.setTracer(runner.tracer_);
         child.forkFrom(parent);
         ++runner.stats_.counter("sweep.forks");
         AppRunResult r = runner.runSuffix(

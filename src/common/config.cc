@@ -63,33 +63,6 @@ closeMatches(const std::string &key,
 
 Config
 Config::fromArgs(const std::vector<std::string> &args,
-                 const std::vector<std::string> &known_keys)
-{
-    const Config cfg = fromArgs(args);
-    for (const auto &[key, value] : cfg.entries()) {
-        (void)value;
-        if (std::find(known_keys.begin(), known_keys.end(), key) !=
-            known_keys.end()) {
-            continue;
-        }
-        std::string msg = "unknown option '" + key + "'";
-        const auto close = closeMatches(key, known_keys);
-        if (!close.empty()) {
-            msg += "; did you mean ";
-            for (std::size_t i = 0; i < close.size(); ++i)
-                msg += (i ? ", '" : "'") + close[i] + "'";
-        } else {
-            msg += "; known options:";
-            for (const auto &k : known_keys)
-                msg += " " + k;
-        }
-        fatal(msg);
-    }
-    return cfg;
-}
-
-Config
-Config::fromArgs(const std::vector<std::string> &args,
                  const std::vector<Knob> &knobs)
 {
     std::vector<std::string> names;
@@ -232,6 +205,22 @@ Config::getBool(const std::string &key, bool default_value) const
     if (s == "0" || s == "false" || s == "no" || s == "off")
         return false;
     fatal("option '", key, "' has non-boolean value '", *v, "'");
+}
+
+std::vector<std::string>
+Config::getList(const std::string &key,
+                const std::string &default_value) const
+{
+    const std::string csv = getString(key, default_value);
+    std::vector<std::string> out;
+    std::size_t pos = 0;
+    while (pos <= csv.size()) {
+        const std::size_t comma = std::min(csv.find(',', pos), csv.size());
+        if (comma > pos)
+            out.push_back(csv.substr(pos, comma - pos));
+        pos = comma + 1;
+    }
+    return out;
 }
 
 } // namespace equalizer

@@ -41,20 +41,13 @@ class Config
     static Config fromArgs(const std::vector<std::string> &args);
 
     /**
-     * Like fromArgs(args), but additionally fatal()s on any key not in
-     * @p known_keys, suggesting the closest registered keys ("did you
-     * mean"). Tools with a fixed option roster use this so a typo like
-     * "kernal=lbm" fails loudly instead of being silently ignored.
-     */
-    static Config fromArgs(const std::vector<std::string> &args,
-                           const std::vector<std::string> &known_keys);
-
-    /**
      * Knob-registry parse: every key is canonicalized (hyphens become
      * underscores, registered aliases map to their knob's name, both
-     * with a deprecation warn()), then validated against the registry
-     * with the same did-you-mean rejection as the known-keys overload.
-     * The returned Config only contains canonical keys.
+     * with a deprecation warn()), then validated against the registry.
+     * An unregistered key fatal()s, suggesting the closest registered
+     * keys ("did you mean"), so a typo like "kernal=lbm" fails loudly
+     * instead of being silently ignored. The returned Config only
+     * contains canonical keys.
      */
     static Config fromArgs(const std::vector<std::string> &args,
                            const std::vector<Knob> &knobs);
@@ -74,6 +67,13 @@ class Config
                         std::int64_t default_value) const;
     double getDouble(const std::string &key, double default_value) const;
     bool getBool(const std::string &key, bool default_value) const;
+
+    /**
+     * A comma-separated list (the value, or @p default_value when the
+     * key is absent), with empty entries dropped: "a,,b," -> {a, b}.
+     */
+    std::vector<std::string> getList(const std::string &key,
+                                     const std::string &default_value) const;
 
     const std::map<std::string, std::string> &entries() const
     {

@@ -655,32 +655,6 @@ GpuTop::runTenants(Cycle max_sm_cycles, const std::string &label)
 }
 
 RunMetrics
-GpuTop::runKernelsConcurrent(
-    const std::vector<const KernelLaunch *> &kernels, Cycle max_sm_cycles)
-{
-    EQ_ASSERT(!kernels.empty(), "runKernelsConcurrent with no kernels");
-
-    // Compatibility shim: one unlimited tenant per kernel on the
-    // legacy round-robin partition (SM i -> kernel i % nk).
-    std::vector<TenantSpec> specs;
-    std::string co_name = "concurrent";
-    for (std::size_t i = 0; i < kernels.size(); ++i) {
-        specs.push_back({"t" + std::to_string(i), 1.0});
-        co_name += ":" + kernels[i]->info().name;
-    }
-    configureTenants(specs, PartitionPolicy::RoundRobin);
-    for (std::size_t i = 0; i < kernels.size(); ++i)
-        enqueueKernel(static_cast<int>(i), *kernels[i]);
-
-    RunMetrics m = runTenants(max_sm_cycles, co_name);
-
-    // Restore the implicit whole-device tenant so a later runKernel()
-    // sees the classic configuration.
-    configureTenants({});
-    return m;
-}
-
-RunMetrics
 GpuTop::resumeKernel(const KernelLaunch &kernel)
 {
     SchedulerCore core(*this);

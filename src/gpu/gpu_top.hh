@@ -170,22 +170,6 @@ class GpuTop
     RunMetrics runTenants(Cycle max_sm_cycles = 2'000'000'000ULL,
                           const std::string &label = "");
 
-    /**
-     * Execute several kernels concurrently, each on its own SM
-     * partition (SM i runs kernels[i % kernels.size()]).
-     *
-     * @deprecated Compatibility shim over configureTenants()/
-     * enqueueKernel()/runTenants() — one unlimited tenant per kernel,
-     * round-robin partition (bit-identical to the pre-tenant
-     * implementation; single-kernel co-runs are bit-identical to
-     * runKernel()). New code should drive the tenant API directly.
-     *
-     * @return Combined metrics over the co-run.
-     */
-    RunMetrics
-    runKernelsConcurrent(const std::vector<const KernelLaunch *> &kernels,
-                         Cycle max_sm_cycles = 2'000'000'000ULL);
-
     /** Invocations of the current (or most recent) run. */
     const std::vector<KernelInvocation> &invocations() const
     {

@@ -27,9 +27,9 @@ namespace equalizer
  *
  * GpuTop owns a vector of these; a whole-device runKernel() is simply
  * the degenerate case of one invocation whose SM set covers every SM.
- * The invocation carries everything that used to live on
- * runKernelsConcurrent()'s stack, which is what makes a checkpoint
- * taken mid-co-run restorable (docs/SNAPSHOT.md).
+ * The invocation carries all per-launch run state (SM set, GWDE,
+ * progress), which is what makes a checkpoint taken mid-co-run
+ * restorable (docs/SNAPSHOT.md).
  */
 class KernelInvocation
 {

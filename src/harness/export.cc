@@ -178,9 +178,15 @@ ExportSink::writeCsv(std::ostream &os) const
 }
 
 void
-ExportSink::writeJsonArray(std::ostream &os) const
+ExportSink::writeJson(std::ostream &os) const
 {
-    os << "[\n";
+    os << "{\n\"meta\": {";
+    for (std::size_t i = 0; i < meta_.size(); ++i) {
+        os << (i ? ", " : "") << '"' << jsonEscape(meta_[i].first)
+           << "\": ";
+        writeCellJson(os, meta_[i].second);
+    }
+    os << "},\n\"rows\": [\n";
     for (std::size_t r = 0; r < rows_.size(); ++r) {
         const auto &cells = rows_[r];
         os << "  {";
@@ -191,21 +197,7 @@ ExportSink::writeJsonArray(std::ostream &os) const
         }
         os << '}' << (r + 1 < rows_.size() ? "," : "") << '\n';
     }
-    os << "]\n";
-}
-
-void
-ExportSink::writeJson(std::ostream &os) const
-{
-    os << "{\n\"meta\": {";
-    for (std::size_t i = 0; i < meta_.size(); ++i) {
-        os << (i ? ", " : "") << '"' << jsonEscape(meta_[i].first)
-           << "\": ";
-        writeCellJson(os, meta_[i].second);
-    }
-    os << "},\n\"rows\": ";
-    writeJsonArray(os);
-    os << "}\n";
+    os << "]\n}\n";
 }
 
 void
@@ -232,7 +224,16 @@ ExportSink::writeTraceEvent(std::ostream &os) const
 ExportSink
 ExportSink::metricsTable()
 {
-    return ExportSink(MetricsExporter::columns());
+    return ExportSink({
+        "kernel",         "policy",         "invocation",
+        "seconds",        "sm_cycles",      "mem_cycles",
+        "instructions",   "ipc",            "dynamic_joules",
+        "static_joules",  "total_joules",   "l1_hit_rate",
+        "l2_hits",        "l2_misses",      "dram_accesses",
+        "dram_row_hits",  "waiting_frac",   "xmem_frac",
+        "xalu_frac",      "sm_high_frac",   "sm_low_frac",
+        "mem_high_frac",  "mem_low_frac",   "dram_pd_frac",
+    });
 }
 
 void
@@ -472,22 +473,6 @@ ExportSink::addServeSummary(const ServeSummary &s)
         ExportCell::integer(s.sloViolations),
         ExportCell::num(s.sloViolationRate),
     });
-}
-
-const std::vector<std::string> &
-MetricsExporter::columns()
-{
-    static const std::vector<std::string> cols = {
-        "kernel",         "policy",         "invocation",
-        "seconds",        "sm_cycles",      "mem_cycles",
-        "instructions",   "ipc",            "dynamic_joules",
-        "static_joules",  "total_joules",   "l1_hit_rate",
-        "l2_hits",        "l2_misses",      "dram_accesses",
-        "dram_row_hits",  "waiting_frac",   "xmem_frac",
-        "xalu_frac",      "sm_high_frac",   "sm_low_frac",
-        "mem_high_frac",  "mem_low_frac",   "dram_pd_frac",
-    };
-    return cols;
 }
 
 } // namespace equalizer

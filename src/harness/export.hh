@@ -143,75 +143,13 @@ class ExportSink
     void addServeSummary(const ServeSummary &s);
 
   private:
-    friend class MetricsExporter; // bare-array JSON compatibility
-
     void writeCsv(std::ostream &os) const;
     void writeJson(std::ostream &os) const;
-    void writeJsonArray(std::ostream &os) const;
     void writeTraceEvent(std::ostream &os) const;
 
     std::vector<std::string> columns_;
     std::vector<std::pair<std::string, ExportCell>> meta_;
     std::vector<std::vector<ExportCell>> rows_;
-};
-
-/** One exported row: identity plus its measurements. */
-struct MetricsRow
-{
-    std::string kernel;
-    std::string policy;
-    int invocation = -1; ///< -1 = whole-application total
-    RunMetrics metrics;
-};
-
-/**
- * Streams MetricsRow collections as CSV or JSON.
- *
- * @deprecated Thin shim over ExportSink, kept so existing callers and
- * artifact consumers keep working; new code should use
- * ExportSink::metricsTable() and write()/writeFile() directly. The
- * output bytes are unchanged: writeCsv() is write(os, Csv), and
- * writeJson() keeps the historical bare-array form.
- */
-class MetricsExporter
-{
-  public:
-    MetricsExporter() : sink_(ExportSink::metricsTable()) {}
-
-    /** Append one row. */
-    void
-    add(MetricsRow row)
-    {
-        sink_.addMetrics(row.kernel, row.policy, row.invocation,
-                         row.metrics);
-    }
-
-    /** Append all invocations (and the total) of a harness result. */
-    void
-    addResult(const std::string &kernel, const std::string &policy,
-              const RunMetrics &total,
-              const std::vector<RunMetrics> &invocations)
-    {
-        sink_.addResult(kernel, policy, total, invocations);
-    }
-
-    /** Column header order of the CSV form. */
-    static const std::vector<std::string> &columns();
-
-    /** Render all rows as CSV (header + one line per row). */
-    void writeCsv(std::ostream &os) const
-    {
-        sink_.write(os, ExportFormat::Csv);
-    }
-
-    /** Render all rows as a JSON array of objects. */
-    void writeJson(std::ostream &os) const { sink_.writeJsonArray(os); }
-
-    std::size_t size() const { return sink_.rowCount(); }
-    void clear() { sink_.clear(); }
-
-  private:
-    ExportSink sink_;
 };
 
 } // namespace equalizer

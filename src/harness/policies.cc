@@ -1,8 +1,11 @@
 #include "policies.hh"
 
+#include <charconv>
+
 #include "baselines/ccws.hh"
 #include "baselines/dyncta.hh"
 #include "baselines/static_policy.hh"
+#include "common/log.hh"
 
 namespace equalizer
 {
@@ -98,6 +101,40 @@ PolicySpec
 ccws()
 {
     return PolicySpec{"ccws", [] { return std::make_unique<Ccws>(); }};
+}
+
+PolicySpec
+byName(const std::string &name, const EqualizerConfig &ecfg)
+{
+    if (name == "baseline")
+        return baseline();
+    if (name == "sm-high")
+        return smHigh();
+    if (name == "sm-low")
+        return smLow();
+    if (name == "mem-high")
+        return memHigh();
+    if (name == "mem-low")
+        return memLow();
+    if (name == "equalizer-perf")
+        return equalizer(EqualizerMode::Performance, ecfg);
+    if (name == "equalizer-energy")
+        return equalizer(EqualizerMode::Energy, ecfg);
+    if (name == "dyncta")
+        return dynCta();
+    if (name == "ccws")
+        return ccws();
+    if (name.rfind("blocks-", 0) == 0) {
+        const char *first = name.data() + 7;
+        const char *last = name.data() + name.size();
+        int blocks = 0;
+        const auto [end, ec] = std::from_chars(first, last, blocks);
+        if (ec != std::errc() || end != last)
+            fatal("policy '", name, "' needs a whole block count, as in "
+                  "blocks-2");
+        return staticBlocks(blocks);
+    }
+    fatal("unknown policy '", name, "'");
 }
 
 } // namespace policies

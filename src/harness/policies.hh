@@ -61,6 +61,15 @@ PolicySpec equalizer(EqualizerMode mode,
 PolicySpec dynCta();
 PolicySpec ccws();
 
+/**
+ * The policy a command-line name selects: baseline, sm-high, sm-low,
+ * mem-high, mem-low, blocks-<n>, equalizer-perf, equalizer-energy,
+ * dyncta or ccws. @p ecfg tunes both Equalizer modes. fatal() on an
+ * unknown name or a blocks- suffix that is not a whole number.
+ */
+PolicySpec byName(const std::string &name,
+                  const EqualizerConfig &ecfg = EqualizerConfig{});
+
 } // namespace policies
 
 } // namespace equalizer

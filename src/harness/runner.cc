@@ -95,9 +95,7 @@ ExperimentRunner::run(const KernelParams &kernel, const PolicySpec &policy,
     }
 
     GpuTop gpu(gpuCfg_, powerCfg_);
-    gpu.setParallelExecutor(executor_.get());
-    if (tracer_)
-        gpu.setTracer(tracer_);
+    wire(gpu);
     auto controller = policy.build();
     gpu.setController(controller.get());
     if (instrument)
@@ -126,6 +124,28 @@ ExperimentRunner::runByName(const std::string &kernel_name,
                             const Instrument &instrument)
 {
     return run(KernelZoo::byName(kernel_name).params, policy, instrument);
+}
+
+void
+ExperimentRunner::wire(GpuTop &gpu) const
+{
+    gpu.setParallelExecutor(executor_.get());
+    if (tracer_)
+        gpu.setTracer(tracer_);
+}
+
+void
+ExperimentRunner::runPrefix(GpuTop &gpu, const SweepPlan &plan)
+{
+    auto warmup = plan.prefixPolicy.build();
+    gpu.setController(warmup.get());
+    for (int inv = 0; inv < plan.prefixInvocations; ++inv) {
+        SyntheticKernel launch(plan.kernel, inv);
+        gpu.runKernel(launch);
+        ++stats_.counter("sweep.prefix_invocations");
+    }
+    gpu.setController(nullptr);
+    gpu.clearPolicyHooks(); // a CCWS warm-up's hooks die with it
 }
 
 AppRunResult
@@ -224,9 +244,8 @@ ExperimentRunner::runSweep(const SweepPlan &plan)
     if (plan.strategy == SweepStrategy::Model)
         return runModelSweep(*this, plan);
 
-    // Explicit points keep the legacy shim behaviour (no table); a
-    // grid-driven plan expands to operating-point policies and fills
-    // the table afterwards.
+    // Explicit points produce no table; a grid-driven plan expands to
+    // operating-point policies and fills the table afterwards.
     std::vector<OperatingPoint> grid_points;
     std::vector<PolicySpec> points = plan.points;
     if (points.empty()) {
@@ -240,44 +259,23 @@ ExperimentRunner::runSweep(const SweepPlan &plan)
     if (plan.strategy == SweepStrategy::Cold) {
         for (const auto &point : points) {
             GpuTop gpu(gpuCfg_, powerCfg_);
-            gpu.setParallelExecutor(executor_.get());
-            if (tracer_)
-                gpu.setTracer(tracer_);
-
-            auto warmup = plan.prefixPolicy.build();
-            gpu.setController(warmup.get());
-            for (int inv = 0; inv < plan.prefixInvocations; ++inv) {
-                SyntheticKernel launch(plan.kernel, inv);
-                gpu.runKernel(launch);
-                ++stats_.counter("sweep.prefix_invocations");
-            }
-
+            wire(gpu);
+            runPrefix(gpu, plan);
             result.points.push_back(runSuffix(gpu, plan.kernel, point,
                                               plan.prefixInvocations));
             ++stats_.counter("sweep.points");
         }
     } else {
         GpuTop parent(gpuCfg_, powerCfg_);
-        parent.setParallelExecutor(executor_.get());
-        if (tracer_)
-            parent.setTracer(tracer_);
-        auto warmup = plan.prefixPolicy.build();
-        parent.setController(warmup.get());
-        for (int inv = 0; inv < plan.prefixInvocations; ++inv) {
-            SyntheticKernel launch(plan.kernel, inv);
-            parent.runKernel(launch);
-            ++stats_.counter("sweep.prefix_invocations");
-        }
-        parent.setController(nullptr);
+        wire(parent);
+        runPrefix(parent, plan);
 
         for (const auto &point : points) {
             // Fork with no controller installed: the warm-up policy's
             // internal state is dropped, exactly as a cold point that
             // builds its controller after the prefix.
             GpuTop child(gpuCfg_, powerCfg_);
-            child.setParallelExecutor(executor_.get());
-            if (tracer_)
-                child.setTracer(tracer_);
+            wire(child);
             child.forkFrom(parent);
             ++stats_.counter("sweep.forks");
 
@@ -291,36 +289,6 @@ ExperimentRunner::runSweep(const SweepPlan &plan)
         fillExhaustiveTable(result, grid_points, points);
     result.stats = stats_.snapshotAndReset();
     return result;
-}
-
-SweepResult
-ExperimentRunner::runColdSweep(const KernelParams &kernel,
-                               const PolicySpec &prefix_policy,
-                               int prefix_invocations,
-                               const std::vector<PolicySpec> &points)
-{
-    SweepPlan plan;
-    plan.kernel = kernel;
-    plan.strategy = SweepStrategy::Cold;
-    plan.prefixPolicy = prefix_policy;
-    plan.prefixInvocations = prefix_invocations;
-    plan.points = points;
-    return runSweep(plan);
-}
-
-SweepResult
-ExperimentRunner::runWarmSweep(const KernelParams &kernel,
-                               const PolicySpec &prefix_policy,
-                               int prefix_invocations,
-                               const std::vector<PolicySpec> &points)
-{
-    SweepPlan plan;
-    plan.kernel = kernel;
-    plan.strategy = SweepStrategy::Warm;
-    plan.prefixPolicy = prefix_policy;
-    plan.prefixInvocations = prefix_invocations;
-    plan.points = points;
-    return runSweep(plan);
 }
 
 } // namespace equalizer

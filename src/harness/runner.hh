@@ -93,13 +93,14 @@ class ExperimentRunner
 
     /**
      * @param threads Worker threads for the per-SM parallel phase:
-     *        0 = hardware concurrency (the default), 1 = the serial
-     *        oracle path. Results are bit-identical either way; the
-     *        knob only trades wall-clock time.
+     *        1 = the serial path (the default, and the fastest on the
+     *        roster), 0 = hardware concurrency. Results are
+     *        bit-identical either way; the knob only trades wall-clock
+     *        time.
      */
     explicit ExperimentRunner(GpuConfig gpu_cfg = GpuConfig::gtx480(),
                               PowerConfig power_cfg = PowerConfig::gtx480(),
-                              int threads = 0);
+                              int threads = 1);
 
     /** Threads the runner will use for the SM phase. */
     int threads() const;
@@ -146,29 +147,6 @@ class ExperimentRunner
      */
     SweepResult runSweep(const SweepPlan &plan);
 
-    /**
-     * Sweep explicit @p points with the Cold strategy.
-     *
-     * @deprecated Shim over runSweep(); kept for existing callers,
-     * byte-identical results. New code should build a SweepPlan.
-     */
-    SweepResult runColdSweep(const KernelParams &kernel,
-                             const PolicySpec &prefix_policy,
-                             int prefix_invocations,
-                             const std::vector<PolicySpec> &points);
-
-    /**
-     * Sweep explicit @p points with the Warm strategy (the prefix is
-     * simulated once, each point forks the warmed state).
-     *
-     * @deprecated Shim over runSweep(); kept for existing callers,
-     * byte-identical results. New code should build a SweepPlan.
-     */
-    SweepResult runWarmSweep(const KernelParams &kernel,
-                             const PolicySpec &prefix_policy,
-                             int prefix_invocations,
-                             const std::vector<PolicySpec> &points);
-
     /** Clear the (kernel, policy) result cache. */
     void clearCache() { cache_.clear(); }
 
@@ -177,9 +155,19 @@ class ExperimentRunner
   private:
     /// The model-guided strategy lives in src/autotune (the harness
     /// dispatches to it from runSweep); it drives warmed forks through
-    /// runSuffix() and the sweep counters directly.
+    /// wire(), runPrefix(), runSuffix() and the sweep counters directly.
     friend SweepResult runModelSweep(ExperimentRunner &runner,
                                      const SweepPlan &plan);
+
+    /** Install the runner's worker pool and tracer on a fresh GPU. */
+    void wire(GpuTop &gpu) const;
+
+    /**
+     * Simulate the plan's warm-up prefix on @p gpu under
+     * plan.prefixPolicy, leaving no controller or policy hooks
+     * installed.
+     */
+    void runPrefix(GpuTop &gpu, const SweepPlan &plan);
 
     /** Suffix of a sweep point: invocations [first_inv, count). */
     AppRunResult runSuffix(GpuTop &gpu, const KernelParams &kernel,

@@ -7,8 +7,7 @@
  * handled (SweepStrategy), which points to visit (an explicit policy
  * list or a declarative SweepGrid), and — for the model-guided
  * strategy — the probe budget and Pareto slack of the search.
- * ExperimentRunner::runSweep() executes any plan; the legacy
- * runColdSweep()/runWarmSweep() entry points are shims over it.
+ * ExperimentRunner::runSweep() executes any plan.
  *
  * Every grid-driven sweep also fills SweepResult::table with one
  * SweepPointRow per grid point (predicted and measured cycles/joules

@@ -1,6 +1,7 @@
 #include "serve/arrival.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -53,6 +54,23 @@ arrivalKindFromString(const std::string &name)
     if (name == "replay")
         return ArrivalKind::Replay;
     fatal("unknown arrival kind '", name, "' (poisson, replay)");
+}
+
+ArrivalMix
+parseArrivalMix(const std::string &item)
+{
+    ArrivalMix mix;
+    const std::size_t colon = item.find(':');
+    mix.kernel = item.substr(0, colon);
+    if (colon != std::string::npos) {
+        const char *first = item.data() + colon + 1;
+        const char *last = item.data() + item.size();
+        const auto [end, ec] = std::from_chars(first, last, mix.priority);
+        if (ec != std::errc() || end != last)
+            fatal("kernel mix entry '", item, "' needs a whole-number "
+                  "priority after ':', as in sgemm:1");
+    }
+    return mix;
 }
 
 std::vector<ServeRequest>

@@ -37,6 +37,12 @@ struct ArrivalMix
     int priority = 0;
 };
 
+/**
+ * Parse one "name[:priority]" mix entry (priority defaults to 0).
+ * fatal() when the priority is missing or not a whole number.
+ */
+ArrivalMix parseArrivalMix(const std::string &item);
+
 /** Everything that defines an arrival schedule. */
 struct ArrivalSpec
 {

@@ -373,35 +373,6 @@ TEST(ProbeSelection, BudgetClampsToGrid)
 // --------------------------------------------------------------------
 // Sweep API contracts (simulation-backed; bp-1 is the cheap kernel)
 
-TEST(SweepApi, ShimsMatchPlans)
-{
-    // The deprecated entry points are byte-identical shims over
-    // runSweep(): same points, same totals, same counters.
-    const std::vector<PolicySpec> points = {
-        policies::operatingPoint(VfState::High, VfState::Normal, 2)};
-    SweepPlan plan = smallPlan(SweepStrategy::Warm);
-    plan.grid = SweepGrid{};
-    plan.points = points;
-
-    ExperimentRunner a;
-    SweepResult via_shim = a.runWarmSweep(plan.kernel, plan.prefixPolicy,
-                                          plan.prefixInvocations, points);
-    ExperimentRunner b;
-    SweepResult via_plan = b.runSweep(plan);
-
-    ASSERT_EQ(via_shim.points.size(), via_plan.points.size());
-    EXPECT_EQ(via_shim.points[0].total.smCycles,
-              via_plan.points[0].total.smCycles);
-    EXPECT_EQ(via_shim.points[0].total.instructions,
-              via_plan.points[0].total.instructions);
-    EXPECT_EQ(via_shim.points[0].total.dynamicJoules,
-              via_plan.points[0].total.dynamicJoules);
-    EXPECT_TRUE(via_shim.table.empty());
-    EXPECT_TRUE(via_plan.table.empty());
-    EXPECT_EQ(via_shim.stats.counterValue("sweep.forks"),
-              via_plan.stats.counterValue("sweep.forks"));
-}
-
 TEST(SweepApi, ModelSweepMeasurementsMatchExhaustive)
 {
     // On a grid small enough that the model simulates every point, the

@@ -72,7 +72,7 @@ sampleKnobs()
 {
     return {
         {"warm_start", "baseline warm-up invocations", {}},
-        {"export", "write metrics", {"json"}},
+        {"export", "write metrics", {"out"}},
         {"threads", "worker threads", {}},
     };
 }
@@ -95,9 +95,9 @@ TEST(Knobs, HyphenSpellingCanonicalizesToUnderscore)
 
 TEST(Knobs, AliasStoresUnderCanonicalName)
 {
-    const Config cfg = Config::fromArgs({"json=m.json"}, sampleKnobs());
+    const Config cfg = Config::fromArgs({"out=m.json"}, sampleKnobs());
     EXPECT_EQ(cfg.getString("export", ""), "m.json");
-    EXPECT_FALSE(cfg.contains("json"));
+    EXPECT_FALSE(cfg.contains("out"));
 }
 
 TEST(KnobsDeath, UnknownKnobSuggestsCanonicalNames)
@@ -112,7 +112,7 @@ TEST(Knobs, UsageListsEveryKnobAndAliases)
     const std::string usage = Config::knobUsage(sampleKnobs());
     EXPECT_NE(usage.find("warm_start"), std::string::npos);
     EXPECT_NE(usage.find("worker threads"), std::string::npos);
-    EXPECT_NE(usage.find("[aliases: json]"), std::string::npos);
+    EXPECT_NE(usage.find("[aliases: out]"), std::string::npos);
 }
 
 TEST(ConfigDeath, NonIntegerValueIsFatal)
@@ -121,6 +121,19 @@ TEST(ConfigDeath, NonIntegerValueIsFatal)
     cfg.set("k", "abc");
     EXPECT_EXIT(cfg.getInt("k", 0), ::testing::ExitedWithCode(1),
                 "non-integer");
+}
+
+TEST(Config, GetListSplitsOnCommasAndDropsEmptyEntries)
+{
+    Config cfg;
+    cfg.set("k", ",a,,b,");
+    cfg.set("empty", "");
+    EXPECT_EQ(cfg.getList("k", "x"),
+              (std::vector<std::string>{"a", "b"}));
+    EXPECT_TRUE(cfg.getList("empty", "x").empty());
+    EXPECT_EQ(cfg.getList("absent", "lbm,kmn"),
+              (std::vector<std::string>{"lbm", "kmn"}));
+    EXPECT_TRUE(cfg.getList("absent", "").empty());
 }
 
 // ------------------------------------------------------------------- Rng

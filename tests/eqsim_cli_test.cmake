@@ -1,0 +1,30 @@
+# Command-line contract of eqsim: retired option spellings and malformed
+# policy/mix values must each end in a clean "[fatal]" error with exit
+# code 1, before any simulation starts and without aborting.
+#
+# Usage: cmake -DEQSIM=<path to eqsim> -P eqsim_cli_test.cmake
+
+function(expect_fatal expected)
+    string(JOIN " " args ${ARGN})
+    execute_process(COMMAND ${EQSIM} ${ARGN}
+                    RESULT_VARIABLE rc
+                    OUTPUT_VARIABLE out
+                    ERROR_VARIABLE err)
+    if(NOT rc EQUAL 1)
+        message(FATAL_ERROR "eqsim ${args}: exit '${rc}', expected 1\n${err}")
+    endif()
+    if(NOT err MATCHES "\\[fatal\\] .*${expected}")
+        message(FATAL_ERROR
+                "eqsim ${args}: stderr lacks '${expected}':\n${err}")
+    endif()
+endfunction()
+
+expect_fatal("unknown option 'json'" kernel=sgemm json=out.json)
+# The hyphenated spelling canonicalizes to the retired underscore key
+# before lookup, so this pins that key's removal too.
+expect_fatal("unknown option 'warm-mode'" kernel=sgemm warm-mode=warm)
+expect_fatal("unknown sweep strategy 'fork'"
+             kernel=sgemm warm_start=1 sweep_mode=fork)
+expect_fatal("policy 'blocks-x' needs a whole block count" policy=blocks-x)
+expect_fatal("'sgemm:x' needs a whole-number priority"
+             serve=1 serve_kernels=sgemm:x)

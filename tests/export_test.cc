@@ -1,7 +1,6 @@
 /**
  * @file
- * Tests for the unified ExportSink API and the deprecated
- * MetricsExporter shim over it.
+ * Tests for the unified ExportSink API and its run-metrics schema.
  */
 
 #include <gtest/gtest.h>
@@ -39,11 +38,11 @@ sampleMetrics()
 
 TEST(Exporter, CsvHasHeaderAndOneLinePerRow)
 {
-    MetricsExporter ex;
-    ex.add(MetricsRow{"kmn", "baseline", -1, sampleMetrics()});
-    ex.add(MetricsRow{"kmn", "equalizer-perf", 0, sampleMetrics()});
+    ExportSink ex = ExportSink::metricsTable();
+    ex.addMetrics("kmn", "baseline", -1, sampleMetrics());
+    ex.addMetrics("kmn", "equalizer-perf", 0, sampleMetrics());
     std::ostringstream os;
-    ex.writeCsv(os);
+    ex.write(os, ExportFormat::Csv);
     const std::string out = os.str();
     // Header + 2 rows = 3 newline-terminated lines.
     EXPECT_EQ(std::count(out.begin(), out.end(), '\n'), 3);
@@ -54,10 +53,10 @@ TEST(Exporter, CsvHasHeaderAndOneLinePerRow)
 
 TEST(Exporter, CsvColumnCountsMatchHeader)
 {
-    MetricsExporter ex;
-    ex.add(MetricsRow{"a", "b", 1, sampleMetrics()});
+    ExportSink ex = ExportSink::metricsTable();
+    ex.addMetrics("a", "b", 1, sampleMetrics());
     std::ostringstream os;
-    ex.writeCsv(os);
+    ex.write(os, ExportFormat::Csv);
     std::istringstream is(os.str());
     std::string header;
     std::string row;
@@ -67,38 +66,38 @@ TEST(Exporter, CsvColumnCountsMatchHeader)
               std::count(row.begin(), row.end(), ','));
     EXPECT_EQ(static_cast<std::size_t>(
                   std::count(header.begin(), header.end(), ',')) + 1,
-              MetricsExporter::columns().size());
+              ex.columnNames().size());
 }
 
 TEST(Exporter, JsonIsWellFormedish)
 {
-    MetricsExporter ex;
-    ex.add(MetricsRow{"lbm", "mem-high", -1, sampleMetrics()});
+    ExportSink ex = ExportSink::metricsTable();
+    ex.addMetrics("lbm", "mem-high", -1, sampleMetrics());
     std::ostringstream os;
-    ex.writeJson(os);
+    ex.write(os, ExportFormat::Json);
     const std::string out = os.str();
-    EXPECT_EQ(out.front(), '[');
-    EXPECT_EQ(out[out.size() - 2], ']');
+    EXPECT_EQ(out.front(), '{');
+    EXPECT_EQ(out[out.size() - 2], '}');
     EXPECT_NE(out.find("\"kernel\": \"lbm\""), std::string::npos);
     EXPECT_NE(out.find("\"ipc\": "), std::string::npos);
 }
 
 TEST(Exporter, AddResultExpandsInvocations)
 {
-    MetricsExporter ex;
+    ExportSink ex = ExportSink::metricsTable();
     std::vector<RunMetrics> invs(3, sampleMetrics());
     ex.addResult("bfs-2", "baseline", sampleMetrics(), invs);
-    EXPECT_EQ(ex.size(), 4u); // 3 invocations + total
+    EXPECT_EQ(ex.rowCount(), 4u); // 3 invocations + total
     ex.clear();
-    EXPECT_EQ(ex.size(), 0u);
+    EXPECT_EQ(ex.rowCount(), 0u);
 }
 
 TEST(Exporter, FractionsAreNormalized)
 {
-    MetricsExporter ex;
-    ex.add(MetricsRow{"x", "y", -1, sampleMetrics()});
+    ExportSink ex = ExportSink::metricsTable();
+    ex.addMetrics("x", "y", -1, sampleMetrics());
     std::ostringstream os;
-    ex.writeCsv(os);
+    ex.write(os, ExportFormat::Csv);
     // waiting_frac = 500/1000 = 0.5 must appear in the row.
     EXPECT_NE(os.str().find("0.5"), std::string::npos);
 }
@@ -212,21 +211,6 @@ TEST(ExportSink, JsonEscapesQuotesInStrings)
     std::ostringstream os;
     sink.write(os, ExportFormat::Json);
     EXPECT_NE(os.str().find("he said \\\"hi\\\""), std::string::npos);
-}
-
-TEST(ExportSink, MetricsTableMatchesShimOutput)
-{
-    // The deprecated MetricsExporter must stay byte-identical to an
-    // ExportSink metrics table without metadata.
-    MetricsExporter shim;
-    shim.add(MetricsRow{"kmn", "baseline", -1, sampleMetrics()});
-    ExportSink sink = ExportSink::metricsTable();
-    sink.addMetrics("kmn", "baseline", -1, sampleMetrics());
-
-    std::ostringstream shim_csv, sink_csv;
-    shim.writeCsv(shim_csv);
-    sink.write(sink_csv, ExportFormat::Csv);
-    EXPECT_EQ(shim_csv.str(), sink_csv.str());
 }
 
 } // namespace

@@ -218,7 +218,10 @@ TEST(ConcurrentKernels, PartitionsSmsAndCompletesBoth)
     }
     ScriptedKernel b(info(8, 4, 4, "kb"), mem_script);
 
-    const RunMetrics m = gpu.runKernelsConcurrent({&a, &b});
+    gpu.configureTenants({{"t0"}, {"t1"}});
+    gpu.enqueueKernel(0, a);
+    gpu.enqueueKernel(1, b);
+    const RunMetrics m = gpu.runTenants();
     EXPECT_EQ(m.kernel, "concurrent:ka:kb");
     const auto expected = 8u * 4u * 300u + 8u * 4u * 120u;
     EXPECT_EQ(m.instructions, expected);
@@ -265,7 +268,10 @@ TEST(ConcurrentKernels, MixedRunKeepsPerSmBlockTuningIndependent)
         min_thrash_target =
             std::min(min_thrash_target, g.sm(1).targetBlocks());
     });
-    gpu.runKernelsConcurrent({&comp, &thrash});
+    gpu.configureTenants({{"comp"}, {"thrash"}});
+    gpu.enqueueKernel(0, comp);
+    gpu.enqueueKernel(1, thrash);
+    gpu.runTenants();
 
     EXPECT_LT(min_thrash_target, 8);
     EXPECT_EQ(min_comp_target, 8);

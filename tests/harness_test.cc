@@ -76,6 +76,27 @@ TEST(Policies, NamesAreStable)
     EXPECT_EQ(policies::ccws().name, "ccws");
 }
 
+TEST(Policies, ByNameResolvesEveryCommandLineName)
+{
+    for (const char *name :
+         {"baseline", "sm-high", "sm-low", "mem-high", "mem-low",
+          "blocks-4", "equalizer-perf", "equalizer-energy", "dyncta",
+          "ccws"})
+        EXPECT_EQ(policies::byName(name).name, name);
+}
+
+TEST(PoliciesDeath, ByNameRejectsUnknownNamesAndBadBlockCounts)
+{
+    EXPECT_EXIT(policies::byName("blocks-x"), ::testing::ExitedWithCode(1),
+                "policy 'blocks-x' needs a whole block count");
+    EXPECT_EXIT(policies::byName("blocks-"), ::testing::ExitedWithCode(1),
+                "policy 'blocks-' needs a whole block count");
+    EXPECT_EXIT(policies::byName("blocks-2x"),
+                ::testing::ExitedWithCode(1), "whole block count");
+    EXPECT_EXIT(policies::byName("turbo"), ::testing::ExitedWithCode(1),
+                "unknown policy 'turbo'");
+}
+
 TEST(Policies, BaselineBuildsNoController)
 {
     EXPECT_EQ(policies::baseline().build(), nullptr);

@@ -2,8 +2,8 @@
  * @file
  * Tests for multi-tenant SM sharing (docs/MULTI_TENANT.md): partition
  * exclusivity, the token-bucket SM-utilization limiter, thread-count
- * bit-identity of co-runs, the deprecated runKernelsConcurrent() shim,
- * queued-invocation relaunch and mid-co-run checkpoint round-trips.
+ * bit-identity of co-runs, queued-invocation relaunch and mid-co-run
+ * checkpoint round-trips.
  */
 
 #include <gtest/gtest.h>
@@ -61,13 +61,9 @@ denseScript(int length = 64)
 
 /** Field-by-field RunMetrics equality (bitwise, including doubles). */
 void
-expectSameMetrics(const RunMetrics &a, const RunMetrics &b,
-                  bool compare_label = true,
-                  bool compare_fast_forward = true)
+expectSameMetrics(const RunMetrics &a, const RunMetrics &b)
 {
-    if (compare_label) {
-        EXPECT_EQ(a.kernel, b.kernel);
-    }
+    EXPECT_EQ(a.kernel, b.kernel);
     EXPECT_EQ(a.seconds, b.seconds);
     EXPECT_EQ(a.smCycles, b.smCycles);
     EXPECT_EQ(a.memCycles, b.memCycles);
@@ -89,9 +85,7 @@ expectSameMetrics(const RunMetrics &a, const RunMetrics &b,
     EXPECT_EQ(a.dramAccesses, b.dramAccesses);
     EXPECT_EQ(a.dramRowHits, b.dramRowHits);
     EXPECT_EQ(a.dramPowerDownFraction, b.dramPowerDownFraction);
-    if (compare_fast_forward) {
-        EXPECT_EQ(a.fastForwardedCycles, b.fastForwardedCycles);
-    }
+    EXPECT_EQ(a.fastForwardedCycles, b.fastForwardedCycles);
     for (int i = 0; i < numVfStates; ++i) {
         const auto s = static_cast<std::size_t>(i);
         EXPECT_EQ(a.smResidency[s], b.smResidency[s]);
@@ -304,48 +298,6 @@ TEST(MultiTenant, CoRunBitIdenticalAcrossThreadCounts)
               std::string::npos);
     EXPECT_NE(blob.find("tenant.t1.occupancy_share"), std::string::npos);
     EXPECT_NE(blob.find("tenant.t0.limiter_debt"), std::string::npos);
-}
-
-// ------------------------------------------------------------------ shim
-
-TEST(MultiTenantShim, SingleKernelMatchesRunKernel)
-{
-    std::vector<WarpInstruction> script;
-    for (int i = 0; i < 40; ++i) {
-        script.push_back(loadInst(static_cast<Addr>(i) * 128));
-        script.push_back(aluInst(true));
-    }
-
-    GpuTop direct(smallGpu(2));
-    ScriptedKernel kd(info(24, 2, 4, "solo"), script);
-    const RunMetrics md = direct.runKernel(kd);
-
-    GpuTop shim(smallGpu(2));
-    ScriptedKernel ks(info(24, 2, 4, "solo"), script);
-    const RunMetrics ms = shim.runKernelsConcurrent({&ks});
-
-    // Identical physics; only the label and the fast-forward
-    // diagnostic differ (the shim path always ticks every cycle).
-    EXPECT_EQ(md.kernel, "solo");
-    EXPECT_EQ(ms.kernel, "concurrent:solo");
-    expectSameMetrics(md, ms, /*compare_label=*/false,
-                      /*compare_fast_forward=*/false);
-    EXPECT_EQ(ms.fastForwardedCycles, 0u);
-
-    // The shim restores the implicit whole-device tenant.
-    EXPECT_FALSE(shim.explicitTenants());
-    EXPECT_EQ(shim.numTenants(), 1);
-}
-
-TEST(MultiTenantShim, TwoKernelsKeepConcurrentLabelAndFinish)
-{
-    GpuTop gpu(smallGpu(2));
-    ScriptedKernel ka(info(20, 2, 4, "ca"), denseScript());
-    ScriptedKernel kb(info(20, 2, 4, "cb"), denseScript());
-    const RunMetrics m = gpu.runKernelsConcurrent({&ka, &kb});
-    EXPECT_EQ(m.kernel, "concurrent:ca:cb");
-    EXPECT_GT(m.instructions, 0u);
-    EXPECT_FALSE(gpu.explicitTenants());
 }
 
 // ------------------------------------------------------ queued relaunch

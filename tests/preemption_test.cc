@@ -68,10 +68,10 @@ churnyEqualizer()
 std::string
 jsonOf(const std::string &kernel, const RunMetrics &m)
 {
-    MetricsExporter e;
+    ExportSink e = ExportSink::metricsTable();
     e.addResult(kernel, "test", m, {m});
     std::ostringstream os;
-    return (e.writeJson(os), os.str());
+    return (e.write(os, ExportFormat::Json), os.str());
 }
 
 struct PreemptCase

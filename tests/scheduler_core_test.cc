@@ -32,10 +32,10 @@ namespace
 std::string
 jsonOf(const std::string &kernel, const RunMetrics &m)
 {
-    MetricsExporter e;
+    ExportSink e = ExportSink::metricsTable();
     e.addResult(kernel, "test", m, {m});
     std::ostringstream os;
-    return (e.writeJson(os), os.str());
+    return (e.write(os, ExportFormat::Json), os.str());
 }
 
 /** Equalizer tuned so decisions churn within short runs. */

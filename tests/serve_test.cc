@@ -129,6 +129,26 @@ TEST(ArrivalDeath, EmptyMixAndBadRateAreFatal)
                 ::testing::ExitedWithCode(1), "unknown arrival kind");
 }
 
+TEST(Arrival, MixEntryParsesNameAndOptionalPriority)
+{
+    const ArrivalMix plain = parseArrivalMix("sgemm");
+    EXPECT_EQ(plain.kernel, "sgemm");
+    EXPECT_EQ(plain.priority, 0);
+    const ArrivalMix urgent = parseArrivalMix("bp-1:-2");
+    EXPECT_EQ(urgent.kernel, "bp-1");
+    EXPECT_EQ(urgent.priority, -2);
+}
+
+TEST(ArrivalDeath, MixEntryWithoutANumericPriorityIsFatal)
+{
+    EXPECT_EXIT(parseArrivalMix("sgemm:x"), ::testing::ExitedWithCode(1),
+                "'sgemm:x' needs a whole-number priority");
+    EXPECT_EXIT(parseArrivalMix("sgemm:"), ::testing::ExitedWithCode(1),
+                "'sgemm:' needs a whole-number priority");
+    EXPECT_EXIT(parseArrivalMix("sgemm:1x"), ::testing::ExitedWithCode(1),
+                "whole-number priority");
+}
+
 TEST(Arrival, KindAndPolicyNamesRoundTrip)
 {
     EXPECT_EQ(arrivalKindFromString(toString(ArrivalKind::Poisson)),

@@ -3,17 +3,15 @@
  * Checkpoint/restore tests: component round-trips through the
  * StateVisitor buffers, whole-GPU mid-kernel save + resume equivalence
  * (serial and multi-threaded), fork semantics, and the strict-argument
- * satellite features (unknown-key rejection, EQ_THREADS validation).
+ * satellite features (unknown-key rejection).
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
 #include "common/config.hh"
 #include "common/stats.hh"
 #include "gpu/gpu_top.hh"
@@ -235,20 +233,22 @@ TEST(Stats, RegistrySnapshotAndResetKeepsNames)
 
 // --- Strict argument parsing (satellite) ------------------------------
 
+std::vector<Knob>
+kernelPolicyKnobs()
+{
+    return {{"kernel", "roster kernel", {}}, {"policy", "policy", {}}};
+}
+
 TEST(ConfigDeath, UnknownKeySuggestsCloseMatches)
 {
-    EXPECT_EXIT(Config::fromArgs(
-                    {"kernal=lbm"},
-                    std::vector<std::string>{"kernel", "policy"}),
+    EXPECT_EXIT(Config::fromArgs({"kernal=lbm"}, kernelPolicyKnobs()),
                 ::testing::ExitedWithCode(1),
                 "unknown option 'kernal'.*did you mean 'kernel'");
 }
 
 TEST(ConfigDeath, UnknownKeyListsRosterWhenNothingIsClose)
 {
-    EXPECT_EXIT(Config::fromArgs(
-                    {"zzz=1"},
-                    std::vector<std::string>{"kernel", "policy"}),
+    EXPECT_EXIT(Config::fromArgs({"zzz=1"}, kernelPolicyKnobs()),
                 ::testing::ExitedWithCode(1),
                 "known options: kernel policy");
 }
@@ -257,27 +257,9 @@ TEST(Config, KnownKeysPassStrictParsing)
 {
     const Config cfg = Config::fromArgs(
         {"kernel=lbm", "sms=8"},
-        std::vector<std::string>{"kernel", "sms"});
+        std::vector<Knob>{{"kernel", "", {}}, {"sms", "", {}}});
     EXPECT_EQ(cfg.getString("kernel", ""), "lbm");
     EXPECT_EQ(cfg.getInt("sms", 0), 8);
-}
-
-TEST(BenchUtilDeath, NonNumericEqThreadsIsFatal)
-{
-    EXPECT_EXIT(
-        {
-            setenv("EQ_THREADS", "lots", 1);
-            bench::simThreadsFromEnv();
-        },
-        ::testing::ExitedWithCode(1), "EQ_THREADS");
-}
-
-TEST(BenchUtil, NumericEqThreadsParses)
-{
-    setenv("EQ_THREADS", "3", 1);
-    EXPECT_EQ(bench::simThreadsFromEnv(), 3);
-    unsetenv("EQ_THREADS");
-    EXPECT_EQ(bench::simThreadsFromEnv(), 0);
 }
 
 // --- Whole-GPU checkpoint/resume --------------------------------------
@@ -287,10 +269,10 @@ std::string
 jsonOf(const std::string &kernel, const RunMetrics &total,
        const std::vector<RunMetrics> &invocations)
 {
-    MetricsExporter e;
+    ExportSink e = ExportSink::metricsTable();
     e.addResult(kernel, "test", total, invocations);
     std::ostringstream os;
-    e.writeJson(os);
+    e.write(os, ExportFormat::Json);
     return os.str();
 }
 
@@ -522,15 +504,21 @@ TEST(WarmSweep, MatchesColdSweepPointForPoint)
         policies::equalizer(EqualizerMode::Performance, fastEqualizer()),
     };
 
-    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480(),
-                            1);
-    SweepResult cold =
-        runner.runColdSweep(params, policies::baseline(), 2, points);
-    SweepResult warm =
-        runner.runWarmSweep(params, policies::baseline(), 2, points);
+    SweepPlan plan;
+    plan.kernel = params;
+    plan.prefixPolicy = policies::baseline();
+    plan.prefixInvocations = 2;
+    plan.points = points;
+
+    ExperimentRunner runner;
+    plan.strategy = SweepStrategy::Cold;
+    const SweepResult cold = runner.runSweep(plan);
+    plan.strategy = SweepStrategy::Warm;
+    const SweepResult warm = runner.runSweep(plan);
 
     ASSERT_EQ(cold.points.size(), points.size());
     ASSERT_EQ(warm.points.size(), points.size());
+    EXPECT_TRUE(warm.table.empty()); // explicit points fill no table
     for (std::size_t i = 0; i < points.size(); ++i) {
         EXPECT_EQ(cold.points[i].policy, warm.points[i].policy);
         EXPECT_EQ(jsonOf(params.name, cold.points[i].total,
