@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 
 #include "kernels/kernel_zoo.hh"
 
@@ -25,6 +26,14 @@ struct PaperRow
     int numBlocks; ///< paper "num Blocks" column (max blocks per SM)
     int wcta;      ///< paper "W_cta" column (warps per block)
 };
+
+// Without a printer gtest lists the row as raw bytes, pointers included,
+// so the listed test name would change from build to build.
+void
+PrintTo(const PaperRow &row, std::ostream *os)
+{
+    *os << row.kernel;
+}
 
 /**
  * Paper Table II verbatim, with the two documented adjustments:
