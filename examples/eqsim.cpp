@@ -104,13 +104,24 @@ using namespace equalizer;
 namespace
 {
 
+/** A cycle-count knob; a negative value is fatal rather than wrapping. */
+Cycle
+cyclesKnob(const Config &cfg, const std::string &key, Cycle default_value)
+{
+    const std::int64_t v =
+        cfg.getInt(key, static_cast<std::int64_t>(default_value));
+    if (v < 0)
+        fatal(key, "= must not be negative, got ", v);
+    return static_cast<Cycle>(v);
+}
+
 /** The policy= knob, with Equalizer tuned by epoch=/sample=/hysteresis=. */
 PolicySpec
 policyKnob(const Config &cfg)
 {
     EqualizerConfig ecfg;
-    ecfg.epochCycles = static_cast<Cycle>(cfg.getInt("epoch", 4096));
-    ecfg.sampleInterval = static_cast<Cycle>(cfg.getInt("sample", 128));
+    ecfg.epochCycles = cyclesKnob(cfg, "epoch", 4096);
+    ecfg.sampleInterval = cyclesKnob(cfg, "sample", 128);
     ecfg.hysteresis = static_cast<int>(cfg.getInt("hysteresis", 3));
     return policies::byName(cfg.getString("policy", "baseline"), ecfg);
 }
@@ -231,8 +242,7 @@ class TraceSession
         TraceConfig tcfg;
         tcfg.bufKb =
             static_cast<std::size_t>(cfg.getInt("trace_buf_kb", 64));
-        tcfg.epochCycles =
-            static_cast<Cycle>(cfg.getInt("trace_epoch", 4096));
+        tcfg.epochCycles = cyclesKnob(cfg, "trace_epoch", 4096);
         if (chromeTracePath(path_)) {
             mem_ = std::make_unique<MemoryTraceSink>();
             tracer_ = std::make_unique<Tracer>(tcfg, *mem_);
@@ -296,6 +306,8 @@ runServeMode(const Config &cfg, const GpuConfig &gcfg)
     spec.seed = static_cast<std::uint64_t>(cfg.getInt("seed", 1));
     spec.replayPath = cfg.getString("replay", "");
     const double slo_us = cfg.getDouble("slo_us", 0.0);
+    if (!(slo_us >= 0.0))
+        fatal("slo_us= must not be negative, got ", slo_us);
     spec.sloCycles =
         static_cast<Cycle>(slo_us * gcfg.smNominalHz / 1e6);
     for (const auto &item :
@@ -336,10 +348,8 @@ runServeMode(const Config &cfg, const GpuConfig &gcfg)
     ServeOptions opts;
     opts.policy = policy;
     opts.admission = admission;
-    opts.quantumCycles =
-        static_cast<Cycle>(cfg.getInt("quantum", 2048));
-    opts.preemptSaveCycles =
-        static_cast<Cycle>(cfg.getInt("preempt_cost", 512));
+    opts.quantumCycles = cyclesKnob(cfg, "quantum", 2048);
+    opts.preemptSaveCycles = cyclesKnob(cfg, "preempt_cost", 512);
     opts.preemptRestoreCycles = opts.preemptSaveCycles;
     opts.kernelScale = cfg.getDouble("serve_scale", 0.25);
 
@@ -699,8 +709,11 @@ main(int argc, char **argv)
         cfg.getDouble("sm_mhz", gcfg.smNominalHz / 1e6) * 1e6;
     gcfg.memNominalHz =
         cfg.getDouble("mem_mhz", gcfg.memNominalHz / 1e6) * 1e6;
-    if (cfg.getString("scheduler", "lrr") == "gto")
+    if (const std::string sched = cfg.getString("scheduler", "lrr");
+        sched == "gto")
         gcfg.scheduler = SchedulerPolicy::GreedyThenOldest;
+    else if (sched != "lrr")
+        fatal("scheduler= must be lrr or gto, got '", sched, "'");
     gcfg.fastPath = cfg.getBool("fast_path", gcfg.fastPath);
 
     if (cfg.getBool("serve", false))

@@ -1,6 +1,7 @@
-# Command-line contract of eqsim: retired option spellings and malformed
-# policy/mix values must each end in a clean "[fatal]" error with exit
-# code 1, before any simulation starts and without aborting.
+# Command-line contract of eqsim: retired option spellings, malformed
+# policy/mix/scheduler values and negative cycle counts must each end in
+# a clean "[fatal]" error with exit code 1, before any simulation starts
+# and without aborting.
 #
 # Usage: cmake -DEQSIM=<path to eqsim> -P eqsim_cli_test.cmake
 
@@ -28,3 +29,7 @@ expect_fatal("unknown sweep strategy 'fork'"
 expect_fatal("policy 'blocks-x' needs a whole block count" policy=blocks-x)
 expect_fatal("'sgemm:x' needs a whole-number priority"
              serve=1 serve_kernels=sgemm:x)
+expect_fatal("scheduler= must be lrr or gto, got 'fifo'" scheduler=fifo)
+expect_fatal("slo_us= must not be negative" serve=1 slo_us=-5)
+expect_fatal("quantum= must not be negative" serve=1 quantum=-1)
+expect_fatal("preempt_cost= must not be negative" serve=1 preempt_cost=-1)

@@ -126,6 +126,8 @@ struct IdentityCase
 {
     const char *kernel;
     int threads;
+    /** Pinned baseline-policy SM cycles: a change here is a model change. */
+    std::uint64_t smCycles;
 };
 
 // Keeps the listed test name free of pointer bytes (see table2_test.cc).
@@ -148,13 +150,14 @@ class FastPathIdentity : public ::testing::TestWithParam<IdentityCase>
  */
 TEST_P(FastPathIdentity, MetricsMatchSlowPath)
 {
-    const auto [kernel, threads] = GetParam();
+    const auto [kernel, threads, sm_cycles] = GetParam();
     const AppRunResult fast =
         runApp(kernel, threads, true, policies::baseline());
     const AppRunResult slow =
         runApp(kernel, threads, false, policies::baseline());
 
     EXPECT_EQ(jsonOf(kernel, fast), jsonOf(kernel, slow));
+    EXPECT_EQ(fast.total.smCycles, sm_cycles);
 
     // Spot-check the raw fields behind the JSON, including exact double
     // equality on the energy totals (the fast path replays the same
@@ -180,19 +183,22 @@ TEST_P(FastPathIdentity, MetricsMatchSlowPath)
 /** Same guarantee under a live Equalizer controller. */
 TEST_P(FastPathIdentity, MetricsMatchSlowPathUnderEqualizer)
 {
-    const auto [kernel, threads] = GetParam();
+    const IdentityCase &c = GetParam();
     const AppRunResult fast =
-        runApp(kernel, threads, true, churnyEqualizer());
+        runApp(c.kernel, c.threads, true, churnyEqualizer());
     const AppRunResult slow =
-        runApp(kernel, threads, false, churnyEqualizer());
-    EXPECT_EQ(jsonOf(kernel, fast), jsonOf(kernel, slow));
+        runApp(c.kernel, c.threads, false, churnyEqualizer());
+    EXPECT_EQ(jsonOf(c.kernel, fast), jsonOf(c.kernel, slow));
 }
 
 INSTANTIATE_TEST_SUITE_P(
     KernelZoo, FastPathIdentity,
-    ::testing::Values(IdentityCase{"sgemm", 1}, IdentityCase{"sgemm", 4},
-                      IdentityCase{"lbm", 1}, IdentityCase{"lbm", 4},
-                      IdentityCase{"kmn", 1}, IdentityCase{"kmn", 4}),
+    ::testing::Values(IdentityCase{"sgemm", 1, 48758},
+                      IdentityCase{"sgemm", 4, 48758},
+                      IdentityCase{"lbm", 1, 196839},
+                      IdentityCase{"lbm", 4, 196839},
+                      IdentityCase{"kmn", 1, 299943},
+                      IdentityCase{"kmn", 4, 299943}),
     [](const ::testing::TestParamInfo<IdentityCase> &i) {
         return std::string(i.param.kernel) + "_t" +
                std::to_string(i.param.threads);

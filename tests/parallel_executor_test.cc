@@ -124,12 +124,12 @@ expectIdenticalMetrics(const RunMetrics &serial, const RunMetrics &par)
 }
 
 class ParallelDeterminism
-    : public ::testing::TestWithParam<const char *>
+    : public ::testing::TestWithParam<std::string>
 {};
 
 TEST_P(ParallelDeterminism, MetricsMatchSerialOracle)
 {
-    const std::string kernel = GetParam();
+    const std::string &kernel = GetParam();
     ExperimentRunner serial(GpuConfig::gtx480(), PowerConfig::gtx480(),
                             /*threads=*/1);
     ExperimentRunner parallel(GpuConfig::gtx480(), PowerConfig::gtx480(),
@@ -148,10 +148,10 @@ TEST_P(ParallelDeterminism, MetricsMatchSerialOracle)
 // One kernel-zoo workload per paper category that the tuning studies
 // sweep: compute-, memory- and cache-sensitive.
 INSTANTIATE_TEST_SUITE_P(KernelZoo, ParallelDeterminism,
-                         ::testing::Values("sgemm", "lbm", "kmn"),
-                         [](const auto &info) {
-                             return std::string(info.param);
-                         });
+                         ::testing::Values(std::string("sgemm"),
+                                           std::string("lbm"),
+                                           std::string("kmn")),
+                         [](const auto &info) { return info.param; });
 
 TEST(ParallelDeterminismPolicies, EqualizerPerfMatchesSerialOracle)
 {

@@ -80,6 +80,13 @@ struct PreemptCase
     int threads;
 };
 
+// Keeps the listed test name free of pointer bytes (see table2_test.cc).
+void
+PrintTo(const PreemptCase &c, std::ostream *os)
+{
+    *os << c.kernel << " threads=" << c.threads;
+}
+
 class PreemptionIdentity : public ::testing::TestWithParam<PreemptCase>
 {
 };

@@ -143,6 +143,14 @@ struct SteppedCase
     bool fastPath;
 };
 
+// Keeps the listed test name free of pointer bytes (see table2_test.cc).
+void
+PrintTo(const SteppedCase &c, std::ostream *os)
+{
+    *os << c.kernel << " threads=" << c.threads
+        << ", fast_path=" << c.fastPath;
+}
+
 class SteppedRun : public ::testing::TestWithParam<SteppedCase>
 {
 };

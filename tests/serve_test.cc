@@ -571,6 +571,32 @@ TEST(ServeDeterminism, ThreadCountsProduceIdenticalReports)
     }
 }
 
+/**
+ * Pinned simulated work of a fixed 24-request Poisson burst over a
+ * mixed short/long kernel set: served preemptively without deadlines,
+ * and under edf with a uniform 70k-cycle SLO to order by. Quantum
+ * stepping, checkpoint shelves and dispatch all feed the executed-cycle
+ * sums, so a change to either number is a change to the model.
+ */
+TEST(ServePinnedCycles, PoissonBurstExecutesThePinnedCycles)
+{
+    ArrivalSpec spec;
+    spec.count = 24;
+    spec.ratePerMcycle = 120.0;
+    spec.seed = 7;
+    spec.mix = {{"sgemm", 1}, {"bp-1", 0}, {"prtcl-2", 0}};
+    const ServeReport preempt =
+        serveUnder(ServePolicy::Preempt, generateArrivals(spec));
+    EXPECT_EQ(preempt.summary.completed, 24);
+    EXPECT_EQ(preempt.summary.executedCycles, 440269u);
+
+    spec.sloCycles = 70'000;
+    const ServeReport edf =
+        serveUnder(ServePolicy::Edf, generateArrivals(spec));
+    EXPECT_EQ(edf.summary.completed, 24);
+    EXPECT_EQ(edf.summary.executedCycles, 440001u);
+}
+
 TEST(ServeDeath, BusyOrPartitionedDevicesAreRejected)
 {
     EXPECT_EXIT(

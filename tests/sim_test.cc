@@ -1,12 +1,11 @@
 /**
  * @file
- * Unit tests for clock domains, VF states and the two-domain scheduler.
+ * Unit tests for clock domains and VF states.
  */
 
 #include <gtest/gtest.h>
 
 #include "sim/clock_domain.hh"
-#include "sim/two_domain.hh"
 #include "sim/vf.hh"
 
 namespace equalizer
@@ -127,34 +126,6 @@ TEST(ClockDomain, ResetStatsKeepsState)
 TEST(ClockDomainDeath, RejectsNonPositiveFrequency)
 {
     EXPECT_DEATH(ClockDomain("bad", 0.0), "positive frequency");
-}
-
-// ---------------------------------------------------- TwoDomainScheduler
-
-TEST(TwoDomain, InterleavesByTime)
-{
-    ClockDomain sm("sm", 1e9);    // 1e6 fs period
-    ClockDomain mem("mem", 2e9);  // 5e5 fs period
-    TwoDomainScheduler sched(sm, mem);
-
-    // Both start at t=0; memory wins ties.
-    EXPECT_EQ(sched.step(), DomainKind::Memory); // t=0
-    EXPECT_EQ(sched.step(), DomainKind::Sm);     // t=0
-    EXPECT_EQ(sched.step(), DomainKind::Memory); // t=5e5
-    EXPECT_EQ(sched.step(), DomainKind::Memory); // t=1e6 (tie -> mem)
-    EXPECT_EQ(sched.step(), DomainKind::Sm);     // t=1e6
-}
-
-TEST(TwoDomain, FasterDomainTicksMoreOften)
-{
-    ClockDomain sm("sm", 700e6);
-    ClockDomain mem("mem", 924e6);
-    TwoDomainScheduler sched(sm, mem);
-    for (int i = 0; i < 10000; ++i)
-        sched.step();
-    const double ratio = static_cast<double>(mem.cycle()) /
-                         static_cast<double>(sm.cycle());
-    EXPECT_NEAR(ratio, 924.0 / 700.0, 0.01);
 }
 
 } // namespace

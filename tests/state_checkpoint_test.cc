@@ -292,6 +292,13 @@ struct MidKernelCase
     int threads;
 };
 
+// Keeps the listed test name free of pointer bytes (see table2_test.cc).
+void
+PrintTo(const MidKernelCase &c, std::ostream *os)
+{
+    *os << c.kernel << " threads=" << c.threads;
+}
+
 class MidKernelCheckpoint
     : public ::testing::TestWithParam<MidKernelCase>
 {
