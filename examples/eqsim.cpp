@@ -75,7 +75,9 @@
  *   replay=<path> (request trace to replay; arrival=replay)
  *   arrival_out=<path> (write the generated schedule as a replayable
  *                request trace)
- *   slo_us=<f> quantum=<cycles> preempt_cost=<cycles>
+ *   slo_us=<f> (Poisson per-request deadline; a replayed trace
+ *                carries each request's own)
+ *   quantum=<cycles> preempt_cost=<cycles>
  *   serve_scale=<f> (shrink factor for request grids, default 0.25)
  *   list=1 (print the roster, the knob registry and exit)
  *
@@ -83,6 +85,7 @@
  * hyphenated spellings (warm-start=) parse with a warning.
  */
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -216,7 +219,9 @@ knobs()
         {"arrival_out",
          "write the generated schedule as a replayable request trace",
          {}},
-        {"slo_us", "per-request latency deadline in microseconds", {}},
+        {"slo_us",
+         "per-request latency deadline in microseconds (Poisson only)",
+         {}},
         {"quantum", "SM cycles per dispatcher quantum", {}},
         {"preempt_cost",
          "modeled save/restore cost of a preemption, in cycles", {}},
@@ -318,6 +323,9 @@ runServeMode(const Config &cfg, const GpuConfig &gcfg)
     }
     if (spec.kind == ArrivalKind::Replay && spec.replayPath.empty())
         fatal("arrival=replay needs replay=<path>");
+    if (spec.kind == ArrivalKind::Replay && cfg.contains("slo_us"))
+        fatal("slo_us= does not apply to arrival=replay: the trace "
+              "carries each request's SLO");
 
     const std::vector<ServeRequest> requests = generateArrivals(spec);
     if (const std::string out = cfg.getString("arrival_out", "");
@@ -459,11 +467,14 @@ runServeMode(const Config &cfg, const GpuConfig &gcfg)
     lat.row({"mean", fmt(s.meanLatency, 1)});
     lat.print();
 
-    if (spec.sloCycles > 0 || s.sloViolations > 0) {
+    if (std::any_of(requests.begin(), requests.end(),
+                    [](const ServeRequest &r) { return r.sloCycles > 0; })) {
         banner("SLO");
         TablePrinter slo({"metric", "value"});
-        slo.row({"deadline", std::to_string(spec.sloCycles) +
-                                 " cycles (" + fmt(slo_us, 1) + " us)"});
+        if (spec.sloCycles > 0) // replayed requests carry their own
+            slo.row({"deadline", std::to_string(spec.sloCycles) +
+                                     " cycles (" + fmt(slo_us, 1) +
+                                     " us)"});
         slo.row({"violations", std::to_string(s.sloViolations)});
         slo.row({"violation rate", pct(s.sloViolationRate)});
         slo.print();

@@ -16,8 +16,6 @@ toString(StepStatus status)
         return "running";
       case StepStatus::Drained:
         return "drained";
-      case StepStatus::PreemptPoint:
-        return "preempt-point";
     }
     return "unknown";
 }
@@ -51,7 +49,7 @@ SchedulerCore::launchTenants(Cycle max_sm_cycles, const std::string &label)
         fatal("runTenants: nothing queued; enqueueKernel() first");
 
     // Bind every tenant's queue head before the first controller
-    // callback, mirroring the legacy launch ordering.
+    // callback.
     g.invocations_.clear();
     std::fill(g.smInvocation_.begin(), g.smInvocation_.end(), -1);
     std::vector<std::size_t> initial;
@@ -139,14 +137,9 @@ SchedulerCore::step(Cycle n_cycles)
                            ? noWakeup
                            : sm_now + n_cycles;
 
-    // The loop body below is the pre-refactor GpuTop::runLoop() —
-    // pausing between iterations is state-neutral, so any step()
+    // Pausing between iterations is state-neutral, so any step()
     // partition of a run is bit-identical to run-to-completion.
     while (true) {
-        if (preemptRequested_) {
-            preemptRequested_ = false;
-            return StepStatus::PreemptPoint;
-        }
         if (g.allDone())
             return StepStatus::Drained;
         if (stop != noWakeup && g.smDomain_.cycle() >= stop)

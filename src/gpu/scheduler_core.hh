@@ -2,18 +2,17 @@
  * @file
  * SchedulerCore: the reentrant, externally-steppable run loop.
  *
- * The monolithic run-to-completion loop that used to live inside
- * GpuTop::runKernel()/runTenants() is factored out here so external
- * drivers (the request-serving frontend in src/serve/, tests, future
- * schedulers) can advance the device by bounded quanta and regain
- * control between them. The loop body is unchanged — pausing between
- * clock edges is state-neutral, so a run advanced via any sequence of
- * step() calls is bit-identical to a single run-to-completion call at
- * any threads= setting, with fast-path skips clamped to the quantum
- * boundary and tracing/checkpointing behaviour untouched.
+ * GpuTop::runKernel()/runTenants()/resume*() run it to completion;
+ * external drivers (the request-serving frontend in src/serve/, tests)
+ * advance the device by bounded quanta and regain control between
+ * them. Pausing between clock edges is state-neutral, so a run
+ * advanced via any sequence of step() calls is bit-identical to a
+ * single run-to-completion call at any threads= setting, with
+ * fast-path skips clamped to the quantum boundary and
+ * tracing/checkpointing behaviour untouched.
  *
  * All mutable run state stays inside GpuTop (its RunContext is part of
- * the checkpoint image); a SchedulerCore is a cheap, stateless-ish
+ * the checkpoint image); a SchedulerCore is a cheap, stateless
  * handle that can be recreated at will — e.g. after loadStateBuffer()
  * — and re-entered via the adopt*() calls.
  */
@@ -36,9 +35,8 @@ class KernelLaunch;
 /** What a bounded step() observed when it returned. */
 enum class StepStatus
 {
-    Running,      ///< quantum exhausted; work remains
-    Drained,      ///< every invocation completed; call finish()
-    PreemptPoint, ///< paused at a requested preemption point
+    Running, ///< quantum exhausted; work remains
+    Drained, ///< every invocation completed; call finish()
 };
 
 const char *toString(StepStatus status);
@@ -51,23 +49,19 @@ class SchedulerCore
     /**
      * Bind @p kernel on the implicit whole-device tenant and arm the
      * run — guards, invocation creation, controller launch hook and
-     * initial block distribution, exactly as the legacy
-     * GpuTop::runKernel() preamble. Follow with step()/run().
+     * initial block distribution. Follow with step()/run().
      */
     void launchKernel(const KernelLaunch &kernel,
                       Cycle max_sm_cycles = 2'000'000'000ULL);
 
-    /**
-     * Bind every tenant's queue head and arm a multi-tenant run,
-     * exactly as the legacy GpuTop::runTenants() preamble.
-     */
+    /** Bind every tenant's queue head and arm a multi-tenant run. */
     void launchTenants(Cycle max_sm_cycles = 2'000'000'000ULL,
                        const std::string &label = "");
 
     /**
      * Re-enter a run restored by loadStateBuffer(): validate that the
      * image is mid-kernel and rebind the (non-serialized) launch
-     * pointer, as the legacy GpuTop::resumeKernel() preamble.
+     * pointer.
      */
     void adoptResumedKernel(const KernelLaunch &kernel);
 
@@ -79,10 +73,9 @@ class SchedulerCore
      * Advance the device by at most @p n_cycles SM cycles (memory
      * edges interleave on global time as always). noWakeup means
      * unbounded. Returns Drained when every invocation completed
-     * (then call finish() exactly once), PreemptPoint when a
-     * requestPreempt() was pending (the device is at a clock-edge
-     * boundary: checkpoint, swap or just keep stepping), Running when
-     * the quantum was exhausted first.
+     * (then call finish() exactly once), Running when the quantum
+     * was exhausted first (the device is at a clock-edge boundary:
+     * checkpoint, swap or just keep stepping).
      */
     StepStatus step(Cycle n_cycles = noWakeup);
 
@@ -92,13 +85,6 @@ class SchedulerCore
     /** Completion hooks, final trace events and the metrics delta. */
     RunMetrics finish();
 
-    /**
-     * Ask the next step() to pause at its next loop iteration and
-     * return PreemptPoint instead of advancing further. Sticky until
-     * delivered; delivered at most once per request.
-     */
-    void requestPreempt() { preemptRequested_ = true; }
-
     /** True while the armed/adopted run has not been finish()ed. */
     bool active() const;
 
@@ -106,7 +92,6 @@ class SchedulerCore
 
   private:
     GpuTop &gpu_;
-    bool preemptRequested_ = false;
 };
 
 } // namespace equalizer

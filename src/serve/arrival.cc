@@ -32,6 +32,19 @@ u01(std::uint64_t &state)
     return (static_cast<double>(nextRand(state) >> 11) + 1.0) * 0x1.0p-53;
 }
 
+/**
+ * All of @p text as a whole number: no sign on unsigned types, no
+ * leading '+', no trailing characters.
+ */
+template <typename T>
+bool
+parseWhole(const std::string &text, T &out)
+{
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, out);
+    return ec == std::errc() && end == last;
+}
+
 } // namespace
 
 const char *
@@ -62,14 +75,10 @@ parseArrivalMix(const std::string &item)
     ArrivalMix mix;
     const std::size_t colon = item.find(':');
     mix.kernel = item.substr(0, colon);
-    if (colon != std::string::npos) {
-        const char *first = item.data() + colon + 1;
-        const char *last = item.data() + item.size();
-        const auto [end, ec] = std::from_chars(first, last, mix.priority);
-        if (ec != std::errc() || end != last)
-            fatal("kernel mix entry '", item, "' needs a whole-number "
-                  "priority after ':', as in sgemm:1");
-    }
+    if (colon != std::string::npos &&
+        !parseWhole(item.substr(colon + 1), mix.priority))
+        fatal("kernel mix entry '", item, "' needs a whole-number "
+              "priority after ':', as in sgemm:1");
     return mix;
 }
 
@@ -123,17 +132,19 @@ readRequestTrace(const std::string &path)
         if (line.empty() || line[0] == '#')
             continue;
         std::istringstream is(line);
+        std::vector<std::string> fields;
+        for (std::string field; is >> field;)
+            fields.push_back(std::move(field));
         ServeRequest r;
-        std::uint64_t arrival = 0;
-        std::uint64_t slo = 0;
-        if (!(is >> arrival >> r.kernel >> r.priority >> slo))
+        if (fields.size() != 4 || !parseWhole(fields[0], r.arrivalCycle) ||
+            !parseWhole(fields[2], r.priority) ||
+            !parseWhole(fields[3], r.sloCycles))
             fatal("request trace '", path, "' line ", lineno,
                   ": expected 'arrival_cycle kernel priority "
-                  "slo_cycles', got '",
+                  "slo_cycles' (cycles whole and non-negative), got '",
                   line, "'");
+        r.kernel = fields[1];
         r.id = static_cast<int>(out.size());
-        r.arrivalCycle = arrival;
-        r.sloCycles = slo;
         out.push_back(std::move(r));
     }
     std::stable_sort(out.begin(), out.end(),

@@ -63,8 +63,8 @@ std::vector<ServeRequest> generateArrivals(const ArrivalSpec &spec);
 
 /**
  * Read a request trace: '#' comment lines, then one request per line
- * as "arrival_cycle kernel priority slo_cycles". fatal() on parse
- * errors.
+ * as "arrival_cycle kernel priority slo_cycles". fatal() on a
+ * missing, extra or non-numeric field and on a negative cycle count.
  */
 std::vector<ServeRequest> readRequestTrace(const std::string &path);
 

@@ -83,8 +83,7 @@ scaleKernelParams(KernelParams params, double scale)
     // Serving requests are single launches at ANY scale: drop the
     // application's invocation schedule so one request = one grid,
     // and keep the long-block count inside the (possibly shrunk)
-    // grid. An early return at scale >= 1 used to skip both and leak
-    // the whole multi-invocation schedule into a "single" request.
+    // grid.
     params.invocations.clear();
     params.longBlocks = std::min(params.longBlocks, params.totalBlocks);
     return params;
@@ -126,428 +125,441 @@ RequestServer::RequestServer(std::vector<GpuTop *> gpus, ServeOptions opts)
     }
 }
 
-const KernelParams &
-RequestServer::paramsFor(const std::string &kernel)
+namespace
 {
-    auto it = params_.find(kernel);
-    if (it == params_.end())
-        it = params_
-                 .emplace(kernel,
-                          scaleKernelParams(KernelZoo::byName(kernel).params,
-                                            opts_.kernelScale))
-                 .first;
-    return it->second;
-}
-
-const KernelLaunch &
-RequestServer::launchFor(const std::string &kernel)
-{
-    auto it = kernels_.find(kernel);
-    if (it == kernels_.end())
-        it = kernels_
-                 .emplace(kernel, std::make_unique<SyntheticKernel>(
-                                      paramsFor(kernel), 0))
-                 .first;
-    return *it->second;
-}
 
 /**
- * Queue position to dispatch next at wall clock @p now. The queue is
- * kept in admission order (ascending record index — dispatch erases
- * and eviction re-inserts by rank), so "first match wins" makes every
- * tie-break deterministic: fcfs picks the head outright, sjf the
- * earliest-admitted shortest prediction, edf the earliest-admitted
- * earliest deadline, llf the earliest-admitted least laxity, preempt
- * the earliest-admitted highest priority.
+ * One device of a serve() run. Its wall clock is the serving time the
+ * device has been simulated up to; the lane with the smallest wall is
+ * always stepped next, so that wall doubles as the global "now" of
+ * every admission and dispatch decision.
  */
-std::size_t
-RequestServer::pickNext(const std::vector<RequestRecord> &records,
-                        const std::vector<int> &queue, Cycle now)
+struct Lane
 {
-    EQ_ASSERT(!queue.empty(), "pickNext on an empty queue");
-    switch (opts_.policy) {
-      case ServePolicy::Fcfs:
-        return 0;
-      case ServePolicy::Sjf: {
-        std::size_t best = 0;
-        Cycle best_rem = noWakeup;
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            const RequestRecord &r =
-                records[static_cast<std::size_t>(queue[i])];
-            const Cycle rem = predictor_.remaining(
-                paramsFor(r.req.kernel), r.executedCycles);
-            if (rem < best_rem) {
-                best_rem = rem;
-                best = i;
-            }
-        }
-        return best;
-      }
-      case ServePolicy::Edf: {
-        std::size_t best = 0;
-        Cycle best_dl = noWakeup;
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            const Cycle dl = records[static_cast<std::size_t>(queue[i])]
-                                 .req.deadlineCycle();
-            if (dl < best_dl) {
-                best_dl = dl;
-                best = i;
-            }
-        }
-        return best;
-      }
-      case ServePolicy::Llf: {
-        std::size_t best = 0;
-        std::int64_t best_lax = std::numeric_limits<std::int64_t>::max();
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            const std::int64_t lax = laxityOf(
-                records[static_cast<std::size_t>(queue[i])], now);
-            if (lax < best_lax) {
-                best_lax = lax;
-                best = i;
-            }
-        }
-        return best;
-      }
-      case ServePolicy::Preempt: {
-        std::size_t best = 0;
-        for (std::size_t i = 1; i < queue.size(); ++i)
-            if (records[static_cast<std::size_t>(queue[i])].req.priority >
-                records[static_cast<std::size_t>(queue[best])]
-                    .req.priority)
-                best = i;
-        return best;
-      }
-    }
-    return 0;
-}
+    GpuTop *gpu = nullptr;
+    std::unique_ptr<SchedulerCore> core;
+    ServeDeviceStats stats; // wallCycles: wall at its last completion
+    Cycle wall = 0;
+    int running = -1;    // index into records
+    bool parked = false; // idle and no work can ever reach it
+};
 
-/**
- * Slack before @p rec busts its deadline if dispatched at @p now:
- * deadline minus (now + predicted remaining service). Negative =
- * already predicted late. Deadline-free requests report infinite
- * laxity so every deadline-carrying request outranks them.
- */
+/** Saturating cast: noWakeup (no deadline) orders after everything. */
 std::int64_t
-RequestServer::laxityOf(const RequestRecord &rec, Cycle now)
+cycleKey(Cycle c)
 {
-    if (rec.req.sloCycles == 0)
-        return std::numeric_limits<std::int64_t>::max();
-    const Cycle rem = predictor_.remaining(paramsFor(rec.req.kernel),
-                                           rec.executedCycles);
-    return static_cast<std::int64_t>(rec.req.deadlineCycle()) -
-           static_cast<std::int64_t>(now + rem);
+    return static_cast<std::int64_t>(std::min<Cycle>(
+        c, static_cast<Cycle>(std::numeric_limits<std::int64_t>::max())));
 }
 
 /**
- * Predictor gate on priority eviction: shelving only pays when the
- * victim's predicted remaining service exceeds the challenger's plus
- * the modeled save+restore round trip — a near-finished victim is
- * cheaper to let run out than to bounce through a checkpoint.
+ * The state of one serve() call — its records, lanes, queue, shelves
+ * and next-arrival cursor — with one member function per lifecycle
+ * step. RequestServer::serve() drives the steps; the predictor and the
+ * kernel cache belong to the server and outlive the call.
  */
-bool
-RequestServer::evictionPays(const RequestRecord &running,
-                            const RequestRecord &challenger)
+class ServeRun
 {
-    const Cycle victim_rem = predictor_.remaining(
-        paramsFor(running.req.kernel), running.executedCycles);
-    const Cycle challenger_rem = predictor_.remaining(
-        paramsFor(challenger.req.kernel), challenger.executedCycles);
-    return victim_rem > challenger_rem + opts_.preemptSaveCycles +
-                            opts_.preemptRestoreCycles;
-}
+  public:
+    using KernelCache =
+        std::map<std::string, std::unique_ptr<SyntheticKernel>>;
 
-ServeReport
-RequestServer::serve(const std::vector<ServeRequest> &requests)
-{
-    // One lane per device. A lane's wall clock is the serving time its
-    // device has been simulated up to; the lane with the smallest wall
-    // is always stepped next, so that wall doubles as the global "now"
-    // of every admission and dispatch decision.
-    struct Lane
+    ServeRun(const std::vector<GpuTop *> &gpus, const ServeOptions &opts,
+             RuntimePredictor &predictor, KernelCache &kernels,
+             const std::vector<ServeRequest> &requests)
+        : opts_(opts), predictor_(predictor), kernels_(kernels),
+          lanes_(gpus.size())
     {
-        GpuTop *gpu = nullptr;
-        std::unique_ptr<SchedulerCore> core;
-        Cycle wall = 0;
-        Cycle lastComplete = 0;
-        Cycle executed = 0;
-        int running = -1;    // index into records
-        int completed = 0;
-        int preemptions = 0;
-        bool parked = false; // idle and no work can ever reach it
-    };
-
-    std::vector<RequestRecord> records;
-    for (const auto &r : requests) {
-        RequestRecord rec;
-        rec.req = r;
-        records.push_back(std::move(rec));
-    }
-    std::stable_sort(records.begin(), records.end(),
-                     [](const RequestRecord &a, const RequestRecord &b) {
-                         return a.req.arrivalCycle < b.req.arrivalCycle;
-                     });
-
-    std::vector<Lane> lanes(gpus_.size());
-    for (std::size_t i = 0; i < gpus_.size(); ++i) {
-        lanes[i].gpu = gpus_[i];
-        lanes[i].core = std::make_unique<SchedulerCore>(*gpus_[i]);
+        for (const auto &r : requests)
+            records_.emplace_back().req = r;
+        std::stable_sort(records_.begin(), records_.end(),
+                         [](const RequestRecord &a, const RequestRecord &b) {
+                             return a.req.arrivalCycle < b.req.arrivalCycle;
+                         });
+        for (std::size_t i = 0; i < gpus.size(); ++i) {
+            lanes_[i].gpu = gpus[i];
+            lanes_[i].core = std::make_unique<SchedulerCore>(*gpus[i]);
+            lanes_[i].stats.device = static_cast<int>(i);
+        }
     }
 
-    std::map<int, std::vector<std::uint8_t>> shelves;
-    std::vector<int> queue; // record indices, kept in admission order
-    std::size_t next_arrival = 0;
-    wall_ = 0;
-    completed_ = 0;
-    rejected_ = 0;
-    preemptions_ = 0;
+    /** Every request completed or rejected. */
+    bool done() const { return settled_ == records_.size(); }
 
-    const auto setGauges = [&] {
-        Tracer *tracer = lanes[0].gpu->tracer();
-        if (!tracer || !tracer->attached())
-            return;
-        auto &g = tracer->gauges();
-        g.set("serve.queue_depth", static_cast<double>(queue.size()));
-        const auto runId = [&](const Lane &lane) {
-            return lane.running < 0
-                       ? -1.0
-                       : static_cast<double>(
-                             records[static_cast<std::size_t>(
-                                         lane.running)]
-                                 .req.id);
-        };
-        g.set("serve.running_request", runId(lanes[0]));
-        g.set("serve.completed", static_cast<double>(completed_));
-        g.set("serve.preemptions", static_cast<double>(preemptions_));
-        g.set("serve.rejected", static_cast<double>(rejected_));
-        for (std::size_t k = 0; k < lanes.size(); ++k) {
-            const std::string p = "serve.dev" + std::to_string(k);
-            g.set(p + ".running_request", runId(lanes[k]));
-            g.set(p + ".completed",
-                  static_cast<double>(lanes[k].completed));
-            g.set(p + ".wall", static_cast<double>(lanes[k].wall));
-        }
-    };
+    /** The unparked lane with the smallest wall (index tie-break). */
+    Lane &
+    pickLane()
+    {
+        Lane *best = nullptr;
+        for (auto &lane : lanes_)
+            if (!lane.parked && (!best || lane.wall < best->wall))
+                best = &lane;
+        if (!best)
+            fatal("RequestServer: all devices parked with ", settled_, "/",
+                  records_.size(), " requests settled");
+        if (best->wall > opts_.maxWallCycles)
+            fatal("RequestServer: wall clock passed ", opts_.maxWallCycles,
+                  " cycles with ", completed(), "/", records_.size(),
+                  " requests done; likely a deadlock");
+        return *best;
+    }
 
-    // Predicted wait a fresh arrival faces: the remaining service of
-    // everything running or queued ahead of it, spread evenly across
-    // the devices. Crude, but cheap, deterministic and online.
-    const auto backlogShare = [&]() -> Cycle {
-        Cycle backlog = 0;
-        for (const auto &lane : lanes) {
-            if (lane.running < 0)
-                continue;
-            const RequestRecord &r =
-                records[static_cast<std::size_t>(lane.running)];
-            backlog += predictor_.remaining(paramsFor(r.req.kernel),
-                                            r.executedCycles);
-        }
-        for (int idx : queue) {
-            const RequestRecord &r =
-                records[static_cast<std::size_t>(idx)];
-            backlog += predictor_.remaining(paramsFor(r.req.kernel),
-                                            r.executedCycles);
-        }
-        return backlog / static_cast<Cycle>(lanes.size());
-    };
-
-    const auto admitUpTo = [&](Cycle now) {
-        while (next_arrival < records.size() &&
-               records[next_arrival].req.arrivalCycle <= now) {
-            RequestRecord &rec = records[next_arrival];
-            const int idx = static_cast<int>(next_arrival++);
+    /** Admit (or predictively reject) every arrival by @p now. */
+    void
+    admit(Cycle now)
+    {
+        while (nextArrival_ < records_.size() &&
+               records_[nextArrival_].req.arrivalCycle <= now) {
+            RequestRecord &rec = records_[nextArrival_];
+            const int idx = static_cast<int>(nextArrival_++);
             if (opts_.admission == AdmissionPolicy::Predictive &&
                 rec.req.sloCycles > 0) {
                 const Cycle service =
-                    predictor_.predict(paramsFor(rec.req.kernel));
+                    predictor_.predict(kernelFor(rec).params());
                 if (now + backlogShare() + service >
                     rec.req.deadlineCycle()) {
                     rec.rejected = true;
-                    ++rejected_;
+                    ++settled_;
                     continue;
                 }
             }
-            queue.push_back(idx);
+            queue_.push_back(idx);
         }
-    };
+    }
 
-    const auto dispatch = [&](std::size_t li, std::size_t pos) {
-        Lane &lane = lanes[li];
-        const int idx = queue[pos];
-        queue.erase(queue.begin() + static_cast<std::ptrdiff_t>(pos));
-        RequestRecord &rec = records[static_cast<std::size_t>(idx)];
-        const KernelLaunch &launch = launchFor(rec.req.kernel);
-        auto shelf = shelves.find(rec.req.id);
-        if (shelf != shelves.end()) {
+    /** Idle @p lane: park or jump to the next arrival; true = work. */
+    bool
+    awaitWork(Lane &lane)
+    {
+        if (!queue_.empty())
+            return true;
+        if (nextArrival_ >= records_.size()) {
+            // An eviction needs a queued challenger, so with nothing
+            // queued or left to arrive no work can reach this lane.
+            lane.parked = true;
+            return false;
+        }
+        lane.wall = records_[nextArrival_].req.arrivalCycle;
+        admit(lane.wall);
+        return !queue_.empty(); // empty: the whole batch was rejected
+    }
+
+    /** Launch the policy's pick on idle @p lane, or restore its shelf. */
+    void
+    dispatch(Lane &lane)
+    {
+        const std::size_t pos = pickNext(lane.wall);
+        const int idx = queue_[pos];
+        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pos));
+        RequestRecord &rec = recordAt(idx);
+        const KernelLaunch &launch = kernelFor(rec);
+        auto shelf = shelves_.find(rec.req.id);
+        if (shelf != shelves_.end()) {
             // Shelves restore on any lane: the devices are forked
             // clones with identical config fingerprints.
             lane.gpu->loadStateBuffer(shelf->second);
-            shelves.erase(shelf);
+            shelves_.erase(shelf);
             lane.core->adoptResumedKernel(launch);
             lane.wall += opts_.preemptRestoreCycles;
         } else {
             lane.core->launchKernel(launch, opts_.maxKernelCycles);
             rec.startCycle = lane.wall;
         }
-        rec.device = static_cast<int>(li);
+        rec.device = lane.stats.device;
         lane.running = idx;
-    };
+    }
 
-    const int total = static_cast<int>(records.size());
-    while (completed_ + rejected_ < total) {
-        std::size_t li = lanes.size();
-        for (std::size_t k = 0; k < lanes.size(); ++k) {
-            if (lanes[k].parked)
-                continue;
-            if (li == lanes.size() || lanes[k].wall < lanes[li].wall)
-                li = k;
-        }
-        if (li == lanes.size())
-            fatal("RequestServer: all devices parked with ",
-                  completed_ + rejected_, "/", total,
-                  " requests settled");
-        Lane &lane = lanes[li];
-        if (lane.wall > opts_.maxWallCycles)
-            fatal("RequestServer: wall clock passed ",
-                  opts_.maxWallCycles, " cycles with ", completed_, "/",
-                  total, " requests done; likely a deadlock");
-        admitUpTo(lane.wall);
-        if (lane.running < 0) {
-            if (queue.empty()) {
-                if (next_arrival >= records.size()) {
-                    // Nothing queued, nothing left to arrive: this
-                    // lane can never see work again (an eviction needs
-                    // a queued challenger, so the queue cannot refill
-                    // from here). Retire it from the pick.
-                    lane.parked = true;
-                    continue;
-                }
-                // Idle: jump this lane's wall to the next arrival.
-                lane.wall = records[next_arrival].req.arrivalCycle;
-                admitUpTo(lane.wall);
-                if (queue.empty())
-                    continue; // the whole batch was rejected
-            }
-            dispatch(li, pickNext(records, queue, lane.wall));
-            continue;
-        }
-        if (opts_.policy == ServePolicy::Preempt && !queue.empty()) {
-            const std::size_t cand =
-                pickNext(records, queue, lane.wall);
-            RequestRecord &run =
-                records[static_cast<std::size_t>(lane.running)];
-            const RequestRecord &ch =
-                records[static_cast<std::size_t>(queue[cand])];
-            if (ch.req.priority > run.req.priority &&
-                evictionPays(run, ch)) {
-                shelves[run.req.id] = lane.gpu->saveStateBuffer();
-                lane.wall += opts_.preemptSaveCycles;
-                ++run.preemptions;
-                ++preemptions_;
-                ++lane.preemptions;
-                // Re-insert at its admission rank (the queue is kept
-                // sorted by record index): tacking the victim onto the
-                // tail made an evicted early request lose every later
-                // tie-break to younger arrivals.
-                queue.insert(std::lower_bound(queue.begin(),
-                                              queue.end(),
-                                              lane.running),
-                             lane.running);
-                lane.running = -1;
-                continue;
-            }
-        }
+    /** Preempt: shelve @p lane's request for a pick that outranks it. */
+    bool
+    maybeEvict(Lane &lane)
+    {
+        if (opts_.policy != ServePolicy::Preempt || queue_.empty())
+            return false;
+        RequestRecord &run = recordAt(lane.running);
+        const RequestRecord &ch = recordAt(queue_[pickNext(lane.wall)]);
+        if (ch.req.priority <= run.req.priority || !evictionPays(run, ch))
+            return false;
+        shelves_[run.req.id] = lane.gpu->saveStateBuffer();
+        lane.wall += opts_.preemptSaveCycles;
+        ++run.preemptions;
+        ++lane.stats.preemptions;
+        // Re-insert at its admission rank: the victim keeps its
+        // tie-breaks against younger arrivals.
+        queue_.insert(std::lower_bound(queue_.begin(), queue_.end(),
+                                       lane.running),
+                      lane.running);
+        lane.running = -1;
+        return true;
+    }
 
-        RequestRecord &rec =
-            records[static_cast<std::size_t>(lane.running)];
+    /** Advance @p lane's request by one quantum on its device. */
+    StepStatus
+    stepQuantum(Lane &lane)
+    {
         setGauges();
         const Cycle before = lane.gpu->smDomain().cycle();
         const StepStatus status = lane.core->step(opts_.quantumCycles);
         const Cycle advanced = lane.gpu->smDomain().cycle() - before;
         lane.wall += advanced;
-        lane.executed += advanced;
-        rec.executedCycles += advanced;
-        if (status == StepStatus::Drained) {
-            const RunMetrics m = lane.core->finish();
-            rec.instructions = m.instructions;
-            rec.completed = true;
-            rec.completeCycle = lane.wall;
-            rec.latencyCycles = lane.wall - rec.req.arrivalCycle;
-            rec.sloViolated = rec.req.sloCycles > 0 &&
-                              rec.latencyCycles > rec.req.sloCycles;
-            predictor_.observe(paramsFor(rec.req.kernel),
-                               rec.executedCycles);
-            ++completed_;
-            ++lane.completed;
-            lane.lastComplete = lane.wall;
-            lane.running = -1;
+        lane.stats.executedCycles += advanced;
+        recordAt(lane.running).executedCycles += advanced;
+        return status;
+    }
+
+    /** Retire @p lane's drained request and teach the predictor. */
+    void
+    complete(Lane &lane)
+    {
+        RequestRecord &rec = recordAt(lane.running);
+        const RunMetrics m = lane.core->finish();
+        rec.instructions = m.instructions;
+        rec.completed = true;
+        rec.completeCycle = lane.wall;
+        rec.latencyCycles = lane.wall - rec.req.arrivalCycle;
+        rec.sloViolated =
+            rec.req.sloCycles > 0 && rec.latencyCycles > rec.req.sloCycles;
+        predictor_.observe(kernelFor(rec).params(), rec.executedCycles);
+        ++settled_;
+        ++lane.stats.completed;
+        lane.stats.wallCycles = lane.wall;
+        lane.running = -1;
+    }
+
+    /** The final gauges and the report; call once, last. */
+    ServeReport
+    report()
+    {
+        setGauges();
+        // Report in request-id order, independent of completion order.
+        std::stable_sort(records_.begin(), records_.end(),
+                         [](const RequestRecord &a, const RequestRecord &b) {
+                             return a.req.id < b.req.id;
+                         });
+        ServeReport report;
+        ServeSummary &s = report.summary;
+        s.policy = toString(opts_.policy);
+        s.admission = toString(opts_.admission);
+        s.devices = static_cast<int>(lanes_.size());
+        s.requests = static_cast<int>(records_.size());
+        std::vector<Cycle> latencies;
+        double latency_sum = 0.0;
+        for (const auto &rec : records_) {
+            s.executedCycles += rec.executedCycles;
+            s.preemptions += rec.preemptions;
+            s.rejected += rec.rejected ? 1 : 0;
+            if (!rec.completed)
+                continue;
+            latencies.push_back(rec.latencyCycles);
+            latency_sum += static_cast<double>(rec.latencyCycles);
+            s.maxLatency = std::max(s.maxLatency, rec.latencyCycles);
+            if (rec.sloViolated)
+                ++s.sloViolations;
+        }
+        s.completed = static_cast<int>(latencies.size());
+        // The serving wall clock of the whole run is the time of the
+        // last completion anywhere — idle jumps past the final arrival
+        // on a lane that then parks do not count as served time.
+        for (const auto &lane : lanes_) {
+            s.wallCycles = std::max(s.wallCycles, lane.stats.wallCycles);
+            report.deviceStats.push_back(lane.stats);
+        }
+        s.p50Latency = latencyPercentile(latencies, 50.0);
+        s.p95Latency = latencyPercentile(latencies, 95.0);
+        s.p99Latency = latencyPercentile(latencies, 99.0);
+        if (!latencies.empty()) {
+            s.meanLatency =
+                latency_sum / static_cast<double>(latencies.size());
+            s.sloViolationRate = static_cast<double>(s.sloViolations) /
+                                 static_cast<double>(latencies.size());
+        }
+        if (s.requests > 0)
+            s.rejectionRate = static_cast<double>(s.rejected) /
+                              static_cast<double>(s.requests);
+        if (s.wallCycles > 0)
+            s.throughputPerMcycle = static_cast<double>(s.completed) *
+                                    1e6 /
+                                    static_cast<double>(s.wallCycles);
+        report.records = std::move(records_);
+        return report;
+    }
+
+  private:
+    RequestRecord &
+    recordAt(int idx)
+    {
+        return records_[static_cast<std::size_t>(idx)];
+    }
+
+    /** The scaled launch of @p rec's kernel, built on first use. */
+    const SyntheticKernel &
+    kernelFor(const RequestRecord &rec)
+    {
+        std::unique_ptr<SyntheticKernel> &k = kernels_[rec.req.kernel];
+        if (!k)
+            k = std::make_unique<SyntheticKernel>(scaleKernelParams(
+                KernelZoo::byName(rec.req.kernel).params, opts_.kernelScale));
+        return *k;
+    }
+
+    /** The online predictor's remaining service for @p rec. */
+    Cycle
+    remainingOf(const RequestRecord &rec)
+    {
+        return predictor_.remaining(kernelFor(rec).params(),
+                                    rec.executedCycles);
+    }
+
+    /**
+     * Slack before @p rec busts its deadline if dispatched at @p now:
+     * deadline minus (now + predicted remaining service). Negative =
+     * already predicted late. Deadline-free requests report infinite
+     * laxity so every deadline-carrying request outranks them.
+     */
+    std::int64_t
+    laxityOf(const RequestRecord &rec, Cycle now)
+    {
+        if (rec.req.sloCycles == 0)
+            return std::numeric_limits<std::int64_t>::max();
+        return static_cast<std::int64_t>(rec.req.deadlineCycle()) -
+               static_cast<std::int64_t>(now + remainingOf(rec));
+    }
+
+    /** The policy's dispatch key for @p rec at @p now: least first. */
+    std::int64_t
+    pickKey(const RequestRecord &rec, Cycle now)
+    {
+        switch (opts_.policy) {
+          case ServePolicy::Fcfs:
+            return 0;
+          case ServePolicy::Sjf:
+            return cycleKey(remainingOf(rec));
+          case ServePolicy::Edf:
+            return cycleKey(rec.req.deadlineCycle());
+          case ServePolicy::Llf:
+            return laxityOf(rec, now);
+          case ServePolicy::Preempt:
+            return -static_cast<std::int64_t>(rec.req.priority);
+        }
+        return 0;
+    }
+
+    /**
+     * Queue position to dispatch at @p now: the first minimum of
+     * pickKey(). The queue is in admission order, so every tie goes
+     * to the earliest-admitted request and fcfs picks the head.
+     */
+    std::size_t
+    pickNext(Cycle now)
+    {
+        EQ_ASSERT(!queue_.empty(), "pickNext on an empty queue");
+        std::size_t best = 0;
+        std::int64_t best_key = pickKey(recordAt(queue_[0]), now);
+        for (std::size_t i = 1; i < queue_.size(); ++i) {
+            const std::int64_t key = pickKey(recordAt(queue_[i]), now);
+            if (key < best_key) {
+                best_key = key;
+                best = i;
+            }
+        }
+        return best;
+    }
+
+    /**
+     * Predictor gate on priority eviction: shelving only pays when the
+     * victim's predicted remaining service exceeds the challenger's
+     * plus the modeled save+restore round trip.
+     */
+    bool
+    evictionPays(const RequestRecord &victim, const RequestRecord &ch)
+    {
+        const Cycle victim_rem = remainingOf(victim);
+        return victim_rem > remainingOf(ch) + opts_.preemptSaveCycles +
+                                opts_.preemptRestoreCycles;
+    }
+
+    /** Predicted remaining work running or queued, per device. */
+    Cycle
+    backlogShare()
+    {
+        Cycle backlog = 0;
+        for (const auto &lane : lanes_)
+            if (lane.running >= 0)
+                backlog += remainingOf(recordAt(lane.running));
+        for (int idx : queue_)
+            backlog += remainingOf(recordAt(idx));
+        return backlog / static_cast<Cycle>(lanes_.size());
+    }
+
+    int
+    completed() const
+    {
+        int n = 0;
+        for (const auto &lane : lanes_)
+            n += lane.stats.completed;
+        return n;
+    }
+
+    /** The serve.* gauges; their first-set order fixes the trace ids. */
+    void
+    setGauges()
+    {
+        Tracer *tracer = lanes_[0].gpu->tracer();
+        if (!tracer || !tracer->attached())
+            return;
+        auto &g = tracer->gauges();
+        const auto runId = [&](const Lane &lane) {
+            return lane.running < 0
+                       ? -1.0
+                       : static_cast<double>(recordAt(lane.running).req.id);
+        };
+        int preemptions = 0;
+        for (const auto &lane : lanes_)
+            preemptions += lane.stats.preemptions;
+        const int done = completed();
+        g.set("serve.queue_depth", static_cast<double>(queue_.size()));
+        g.set("serve.running_request", runId(lanes_[0]));
+        g.set("serve.completed", static_cast<double>(done));
+        g.set("serve.preemptions", static_cast<double>(preemptions));
+        g.set("serve.rejected", static_cast<double>(settled_) - done);
+        for (const auto &lane : lanes_) {
+            const std::string p =
+                "serve.dev" + std::to_string(lane.stats.device);
+            g.set(p + ".running_request", runId(lane));
+            g.set(p + ".completed",
+                  static_cast<double>(lane.stats.completed));
+            g.set(p + ".wall", static_cast<double>(lane.wall));
         }
     }
-    setGauges();
 
-    // Report in request-id order, independent of completion order.
-    std::stable_sort(records.begin(), records.end(),
-                     [](const RequestRecord &a, const RequestRecord &b) {
-                         return a.req.id < b.req.id;
-                     });
+    const ServeOptions &opts_;
+    RuntimePredictor &predictor_;
+    KernelCache &kernels_;
+    std::vector<RequestRecord> records_; // arrival order until report()
+    std::vector<Lane> lanes_;
+    std::map<int, std::vector<std::uint8_t>> shelves_;
+    std::vector<int> queue_; // record indices, kept in admission order
+    std::size_t nextArrival_ = 0;
+    std::size_t settled_ = 0; // completed + rejected
+};
 
-    // The serving wall clock of the whole run is the time of the last
-    // completion anywhere — idle jumps past the final arrival on a
-    // lane that then parks do not count as served time.
-    wall_ = 0;
-    for (const auto &lane : lanes)
-        wall_ = std::max(wall_, lane.lastComplete);
+} // namespace
 
-    ServeReport report;
-    report.summary.policy = toString(opts_.policy);
-    report.summary.admission = toString(opts_.admission);
-    report.summary.devices = static_cast<int>(lanes.size());
-    report.summary.requests = total;
-    report.summary.completed = completed_;
-    report.summary.rejected = rejected_;
-    report.summary.preemptions = preemptions_;
-    report.summary.wallCycles = wall_;
-    std::vector<Cycle> latencies;
-    double latency_sum = 0.0;
-    for (const auto &rec : records) {
-        report.summary.executedCycles += rec.executedCycles;
-        if (!rec.completed)
-            continue;
-        latencies.push_back(rec.latencyCycles);
-        latency_sum += static_cast<double>(rec.latencyCycles);
-        report.summary.maxLatency =
-            std::max(report.summary.maxLatency, rec.latencyCycles);
-        if (rec.sloViolated)
-            ++report.summary.sloViolations;
+ServeReport
+RequestServer::serve(const std::vector<ServeRequest> &requests)
+{
+    ServeRun run(gpus_, opts_, predictor_, kernels_, requests);
+    while (!run.done()) {
+        Lane &lane = run.pickLane();
+        run.admit(lane.wall);
+        if (lane.running >= 0) {
+            if (!run.maybeEvict(lane) &&
+                run.stepQuantum(lane) == StepStatus::Drained)
+                run.complete(lane);
+        } else if (run.awaitWork(lane)) {
+            run.dispatch(lane);
+        }
     }
-    report.summary.p50Latency = latencyPercentile(latencies, 50.0);
-    report.summary.p95Latency = latencyPercentile(latencies, 95.0);
-    report.summary.p99Latency = latencyPercentile(latencies, 99.0);
-    if (!latencies.empty()) {
-        report.summary.meanLatency =
-            latency_sum / static_cast<double>(latencies.size());
-        report.summary.sloViolationRate =
-            static_cast<double>(report.summary.sloViolations) /
-            static_cast<double>(latencies.size());
-    }
-    if (total > 0)
-        report.summary.rejectionRate =
-            static_cast<double>(rejected_) / static_cast<double>(total);
-    if (wall_ > 0)
-        report.summary.throughputPerMcycle =
-            static_cast<double>(completed_) * 1e6 /
-            static_cast<double>(wall_);
-    for (std::size_t k = 0; k < lanes.size(); ++k) {
-        ServeDeviceStats stats;
-        stats.device = static_cast<int>(k);
-        stats.completed = lanes[k].completed;
-        stats.preemptions = lanes[k].preemptions;
-        stats.executedCycles = lanes[k].executed;
-        stats.wallCycles = lanes[k].lastComplete;
-        report.deviceStats.push_back(stats);
-    }
-    report.records = std::move(records);
-    return report;
+    return run.report();
 }
 
 } // namespace equalizer

@@ -199,25 +199,13 @@ class RequestServer
     const RuntimePredictor &predictor() const { return predictor_; }
 
   private:
-    const KernelLaunch &launchFor(const std::string &kernel);
-    const KernelParams &paramsFor(const std::string &kernel);
-    std::size_t pickNext(const std::vector<RequestRecord> &records,
-                         const std::vector<int> &queue, Cycle now);
-    std::int64_t laxityOf(const RequestRecord &rec, Cycle now);
-    bool evictionPays(const RequestRecord &running,
-                      const RequestRecord &challenger);
-
     std::vector<GpuTop *> gpus_;
     ServeOptions opts_;
     RuntimePredictor predictor_;
     // Scaled launch objects, one per kernel name, alive for the
-    // server's lifetime (invocations keep a pointer into these).
+    // server's lifetime (invocations keep a pointer into these). Their
+    // params() are what the predictor is asked about.
     std::map<std::string, std::unique_ptr<SyntheticKernel>> kernels_;
-    std::map<std::string, KernelParams> params_;
-    Cycle wall_ = 0;
-    int completed_ = 0;
-    int rejected_ = 0;
-    int preemptions_ = 0;
 };
 
 } // namespace equalizer

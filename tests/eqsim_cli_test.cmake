@@ -31,5 +31,7 @@ expect_fatal("'sgemm:x' needs a whole-number priority"
              serve=1 serve_kernels=sgemm:x)
 expect_fatal("scheduler= must be lrr or gto, got 'fifo'" scheduler=fifo)
 expect_fatal("slo_us= must not be negative" serve=1 slo_us=-5)
+expect_fatal("slo_us= does not apply to arrival=replay"
+             serve=1 arrival=replay replay=requests.txt slo_us=100)
 expect_fatal("quantum= must not be negative" serve=1 quantum=-1)
 expect_fatal("preempt_cost= must not be negative" serve=1 preempt_cost=-1)

@@ -2,8 +2,8 @@
  * @file
  * Tests for the reentrant SchedulerCore: quantum-bounded stepping,
  * bit-identity of a stepped run against run-to-completion at any
- * threads= and fast_path= setting, mid-quantum checkpointability,
- * cooperative preemption points and the launch-state guards.
+ * threads= and fast_path= setting, mid-quantum checkpointability
+ * and the launch-state guards.
  */
 
 #include <gtest/gtest.h>
@@ -52,7 +52,6 @@ TEST(StepStatus, ToStringNamesEveryState)
 {
     EXPECT_STREQ(toString(StepStatus::Running), "running");
     EXPECT_STREQ(toString(StepStatus::Drained), "drained");
-    EXPECT_STREQ(toString(StepStatus::PreemptPoint), "preempt-point");
 }
 
 TEST(SchedulerCoreDeath, StepWithoutLaunchIsFatal)
@@ -109,31 +108,6 @@ TEST(SchedulerCore, ActiveTracksTheRunLifetime)
     const RunMetrics m = core.finish();
     EXPECT_GT(m.instructions, 0u);
     EXPECT_FALSE(core.active());
-}
-
-/**
- * requestPreempt() is sticky until the next step(), which pauses
- * before advancing a single edge and consumes the request; the step
- * after that proceeds normally.
- */
-TEST(SchedulerCore, RequestPreemptPausesWithoutAdvancing)
-{
-    GpuTop gpu;
-    SchedulerCore core(gpu);
-    SyntheticKernel launch(KernelZoo::byName("sgemm").params, 0);
-    core.launchKernel(launch);
-    ASSERT_EQ(core.step(256), StepStatus::Running);
-
-    core.requestPreempt();
-    const Cycle at = gpu.smDomain().cycle();
-    EXPECT_EQ(core.step(256), StepStatus::PreemptPoint);
-    EXPECT_EQ(gpu.smDomain().cycle(), at); // paused on the edge
-
-    // Delivered at most once: the next step runs a full quantum.
-    EXPECT_EQ(core.step(256), StepStatus::Running);
-    EXPECT_EQ(gpu.smDomain().cycle(), at + 256);
-    core.run();
-    core.finish();
 }
 
 struct SteppedCase

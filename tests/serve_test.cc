@@ -101,13 +101,20 @@ TEST(ArrivalDeath, MalformedTraceLineIsFatal)
 {
     const std::string path =
         ::testing::TempDir() + "eq_serve_bad_trace.txt";
-    writeRequestTrace(path, {});
-    {
-        std::ofstream os(path, std::ios::app);
-        os << "100 sgemm not-a-priority 0\n";
+    // Line 1 is writeRequestTrace()'s header comment.
+    for (const char *bad :
+         {"100 sgemm not-a-priority 0", "-5 sgemm 1 -70000 extra",
+          "-5 sgemm 1 70000", "5 sgemm 1 -70000", "5 sgemm 1 70000 extra",
+          "5x sgemm 1 70000", "5 sgemm 1 7e4", "5 sgemm 1"}) {
+        writeRequestTrace(path, {});
+        {
+            std::ofstream os(path, std::ios::app);
+            os << bad << "\n";
+        }
+        EXPECT_EXIT(readRequestTrace(path), ::testing::ExitedWithCode(1),
+                    "request trace '.*eq_serve_bad_trace.txt' line 2")
+            << bad;
     }
-    EXPECT_EXIT(readRequestTrace(path), ::testing::ExitedWithCode(1),
-                "request trace");
 }
 
 TEST(ArrivalDeath, EmptyMixAndBadRateAreFatal)
@@ -625,7 +632,8 @@ TEST(ServeDeath, BusyOrPartitionedDevicesAreRejected)
  */
 ServeReport
 serveAcross(int devices, ServePolicy policy,
-            const std::vector<ServeRequest> &requests, int threads = 1)
+            const std::vector<ServeRequest> &requests, int threads = 1,
+            AdmissionPolicy admission = AdmissionPolicy::None)
 {
     std::unique_ptr<ParallelExecutor> exec;
     if (threads > 1)
@@ -641,6 +649,7 @@ serveAcross(int devices, ServePolicy policy,
     }
     ServeOptions opts;
     opts.policy = policy;
+    opts.admission = admission;
     opts.kernelScale = 0.25;
     RequestServer server(ptrs, opts);
     return server.serve(requests);
@@ -737,6 +746,105 @@ TEST(MultiDeviceServeDeath, MismatchedOrRepeatedDevicesAreFatal)
     EXPECT_EXIT(RequestServer({}, ServeOptions{}),
                 ::testing::ExitedWithCode(1), "at least one device");
 }
+
+// --- Whole-report pins over the committed replay ----------------------
+
+/** One serve configuration and the summary it must reproduce. */
+struct PinnedReportCase
+{
+    ServePolicy policy;
+    AdmissionPolicy admission;
+    int devices;
+    int completed;
+    int rejected;
+    int preemptions;
+    Cycle wallCycles;
+    Cycle executedCycles;
+    Cycle p50;
+    Cycle p95;
+    Cycle p99;
+};
+
+// Keeps the listed test name free of pointer bytes (see table2_test.cc).
+void
+PrintTo(const PinnedReportCase &c, std::ostream *os)
+{
+    *os << toString(c.policy) << " admission=" << toString(c.admission)
+        << " devices=" << c.devices;
+}
+
+class ServePinnedReport : public ::testing::TestWithParam<PinnedReportCase>
+{
+};
+
+/**
+ * The first 40 requests of the committed 200-request replay: enough
+ * for preempt to evict, for predictive llf admission to reject and for
+ * devices=2 to shard, small enough to run in a couple of seconds.
+ */
+std::vector<ServeRequest>
+replayPrefix()
+{
+    std::vector<ServeRequest> reqs = readRequestTrace(
+        std::string(EQ_TEST_DATA_DIR) + "/serve_requests_200.txt");
+    reqs.resize(40);
+    return reqs;
+}
+
+/**
+ * Every summary number of a whole serve() run, pinned per dispatcher,
+ * admission and device count: admission, dispatch order, eviction and
+ * quantum stepping all feed these, so a change to any is a change to
+ * the serving model.
+ */
+TEST_P(ServePinnedReport, SummaryMatchesThePins)
+{
+    const PinnedReportCase &c = GetParam();
+    const ServeSummary s =
+        serveAcross(c.devices, c.policy, replayPrefix(), 1, c.admission)
+            .summary;
+    EXPECT_EQ(s.requests, 40);
+    EXPECT_EQ(s.completed, c.completed);
+    EXPECT_EQ(s.rejected, c.rejected);
+    EXPECT_EQ(s.preemptions, c.preemptions);
+    EXPECT_EQ(s.wallCycles, c.wallCycles);
+    EXPECT_EQ(s.executedCycles, c.executedCycles);
+    EXPECT_EQ(s.p50Latency, c.p50);
+    EXPECT_EQ(s.p95Latency, c.p95);
+    EXPECT_EQ(s.p99Latency, c.p99);
+}
+
+constexpr AdmissionPolicy kNone = AdmissionPolicy::None;
+
+INSTANTIATE_TEST_SUITE_P(
+    Replay40, ServePinnedReport,
+    ::testing::Values(
+        // policy, admission, devices, completed, rejected, preemptions,
+        // wall, executed, p50, p95, p99
+        PinnedReportCase{ServePolicy::Fcfs, kNone, 1, 40, 0, 0, 1134830,
+                         1002841, 98331, 197574, 235884},
+        PinnedReportCase{ServePolicy::Sjf, kNone, 1, 40, 0, 0, 1135211,
+                         1003222, 50791, 212214, 251003},
+        PinnedReportCase{ServePolicy::Preempt, kNone, 1, 40, 0, 8, 1143622,
+                         1003441, 72784, 203761, 242695},
+        PinnedReportCase{ServePolicy::Edf, kNone, 1, 40, 0, 0, 1134830,
+                         1002841, 98331, 197574, 235884},
+        PinnedReportCase{ServePolicy::Llf, kNone, 1, 40, 0, 0, 1135578,
+                         1003589, 108399, 226287, 277480},
+        PinnedReportCase{ServePolicy::Llf, AdmissionPolicy::Predictive, 1,
+                         25, 15, 0, 1063798, 132260, 3834, 7490, 8083},
+        PinnedReportCase{ServePolicy::Preempt, kNone, 2, 40, 0, 7, 1068803,
+                         1003604, 7310, 85281, 97156},
+        PinnedReportCase{ServePolicy::Edf, kNone, 2, 40, 0, 0, 1068896,
+                         1004015, 23583, 84333, 97072}),
+    [](const ::testing::TestParamInfo<PinnedReportCase> &i) {
+        std::string name = toString(i.param.policy);
+        if (i.param.admission != AdmissionPolicy::None)
+            name += std::string("_") + toString(i.param.admission);
+        if (i.param.devices > 1)
+            name += "_d" + std::to_string(i.param.devices);
+        return name;
+    });
 
 // --- sm_limit= knob boundaries (docs/MULTI_TENANT.md) ------------------
 
