@@ -98,13 +98,16 @@ main()
             const auto base =
                 runner.run(entry.params, policies::baseline());
             std::vector<std::string> row = {name};
-            for (double th : {1.0, 2.0, 4.0}) {
-                progress("ablation thresh " + name);
+            for (int th : {1, 2, 4}) {
+                progress("ablation thresh " + name + " " +
+                         std::to_string(th));
                 EqualizerConfig cfg;
                 cfg.mode = EqualizerMode::Performance;
                 cfg.memSaturationThreshold = th;
+                // A distinct name per variant: run() caches on it.
                 const auto r = runner.run(
-                    entry.params, variant("eq-thresh", cfg));
+                    entry.params,
+                    variant("eq-thresh-" + std::to_string(th), cfg));
                 row.push_back(fmt(speedupOver(base.total, r.total), 3));
             }
             t.row(row);

@@ -61,7 +61,11 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-    const Config cfg = Config::fromArgs(args);
+    const Config cfg = Config::fromArgs(
+        args, std::vector<Knob>{
+                  {"app", "application whose kernels run back to back", {}},
+                  {"mode", "equalizer mode: perf or energy", {}},
+              });
     const std::string app = cfg.getString("app", "histo");
     const std::string mode_name = cfg.getString("mode", "perf");
 

@@ -23,7 +23,8 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-    const Config cfg = Config::fromArgs(args);
+    const Config cfg = Config::fromArgs(
+        args, std::vector<Knob>{{"kernel", "roster kernel to explore", {}}});
     const std::string kernel_name = cfg.getString("kernel", "lbm");
     const ZooEntry &entry = KernelZoo::byName(kernel_name);
 

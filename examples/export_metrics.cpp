@@ -28,7 +28,12 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-    const Config cfg = Config::fromArgs(args);
+    const Config cfg = Config::fromArgs(
+        args, std::vector<Knob>{
+                  {"kernel", "roster kernel to run, or all", {}},
+                  {"format", "csv, json or trace-event", {}},
+                  {"out", "output path (format inferred from suffix)", {}},
+              });
     const std::string which = cfg.getString("kernel", "kmn");
     const std::string format_name = cfg.getString("format", "");
     const std::string out_path = cfg.getString("out", "");

@@ -21,7 +21,8 @@ int
 main(int argc, char **argv)
 {
     std::vector<std::string> args(argv + 1, argv + argc);
-    const Config cfg = Config::fromArgs(args);
+    const Config cfg = Config::fromArgs(
+        args, std::vector<Knob>{{"kernel", "roster kernel to run", {}}});
     const std::string kernel_name = cfg.getString("kernel", "kmn");
 
     const ZooEntry &entry = KernelZoo::byName(kernel_name);

@@ -151,21 +151,14 @@ predictedArgmin(const std::vector<SweepPointRow> &table, bool by_energy)
 
 } // namespace
 
-SweepResult
-runModelSweep(ExperimentRunner &runner, const SweepPlan &plan)
+void
+runModelSweep(const SweepPlan &plan, double sm_nominal_hz,
+              const std::vector<OperatingPoint> &grid_points,
+              const SweepPointFn &measure_point, bool trace_probe,
+              SweepResult &result, StatRegistry &stats)
 {
-    runner.checkPrefix(plan.kernel, plan.prefixInvocations);
-    if (!plan.points.empty()) {
-        fatal("the model sweep strategy is grid-driven; it cannot take "
-              "explicit policy points");
-    }
-
-    const GpuConfig &cfg = runner.gpuConfig();
-    const std::vector<OperatingPoint> grid_points =
-        expandSweepGrid(cfg, plan.kernel, plan.grid);
     const int grid_n = static_cast<int>(grid_points.size());
-    runner.stats_.counter("sweep.grid_points") +=
-        static_cast<std::uint64_t>(grid_n);
+    stats.counter("sweep.grid_points") += static_cast<std::uint64_t>(grid_n);
 
     // Simulation budget: one fifth of the grid is the reduction target
     // (bench_autotune gates >= 5x); never below the probe schedule
@@ -175,31 +168,8 @@ runModelSweep(ExperimentRunner &runner, const SweepPlan &plan)
     const int budget = std::max(grid_n / 5,
                                 static_cast<int>(probes.size()));
 
-    // --- Warm the parent once; every simulated point forks it.
-    GpuTop parent(runner.gpuCfg_, runner.powerCfg_);
-    runner.wire(parent);
-    runner.runPrefix(parent, plan);
-
-    SweepResult result;
-    std::vector<int> simulated_ids;
-    auto simulatePoint = [&](const OperatingPoint &op,
-                             Tracer *point_tracer) {
-        GpuTop child(runner.gpuCfg_, runner.powerCfg_);
-        runner.wire(child);
-        if (point_tracer) // only passed when the runner has no tracer
-            child.setTracer(point_tracer);
-        child.forkFrom(parent);
-        ++runner.stats_.counter("sweep.forks");
-        AppRunResult r = runner.runSuffix(
-            child, plan.kernel,
-            policies::operatingPoint(op.smVf, op.memVf, op.cta),
-            plan.prefixInvocations);
-        ++runner.stats_.counter("sweep.points");
-        return r;
-    };
-
     // --- Probe runs. The first probe also records an epoch-level
-    // trace (unless the caller attached their own tracer) so the
+    // trace (unless the runner already traces every point) so the
     // feature extractor sees per-epoch gauges, not just run totals.
     // Tracing is observational: the traced fork's metrics are
     // bit-identical to an untraced run of the same point
@@ -207,14 +177,13 @@ runModelSweep(ExperimentRunner &runner, const SweepPlan &plan)
     // exhaustive sweep).
     MemoryTraceSink feature_sink;
     Tracer feature_tracer(TraceConfig{}, feature_sink);
-    const bool own_feature_trace = runner.tracer_ == nullptr;
 
     std::vector<MeasuredSample> samples;
     ProbeFeatures probe_features;
     for (std::size_t i = 0; i < probes.size(); ++i) {
-        Tracer *t = i == 0 && own_feature_trace ? &feature_tracer
-                                                : nullptr;
-        AppRunResult r = simulatePoint(probes[i], t);
+        Tracer *t = i == 0 && trace_probe ? &feature_tracer : nullptr;
+        const int id = gridIndexOf(grid_points, probes[i]);
+        AppRunResult r = measure_point(id, t);
         if (t) {
             t->finish();
             probe_features = extractProbeFeatures(
@@ -224,40 +193,22 @@ runModelSweep(ExperimentRunner &runner, const SweepPlan &plan)
         }
         samples.push_back(MeasuredSample{probes[i], r.total.seconds,
                                          r.total.totalJoules()});
-        simulated_ids.push_back(gridIndexOf(grid_points, probes[i]));
-        result.points.push_back(std::move(r));
-        ++runner.stats_.counter("sweep.probes");
+        recordSweepPoint(result, id, std::move(r));
+        ++stats.counter("sweep.probes");
     }
     result.probeIpc = probe_features.ipc;
     result.probeMemoryPressure = probe_features.memoryPressure();
     result.probeEpochSamples = probe_features.epochSamples;
 
     // --- Fit and predict every grid point.
-    const SweepModel model = SweepModel::fit(samples, cfg.smNominalHz);
+    const SweepModel model = SweepModel::fit(samples, sm_nominal_hz);
     result.fitErrorSeconds = model.fitErrorSeconds();
     result.fitErrorJoules = model.fitErrorJoules();
-    for (int i = 0; i < grid_n; ++i) {
-        const OperatingPoint &op = grid_points[i];
-        SweepPointRow row;
-        row.id = i;
-        row.policy =
-            policies::operatingPoint(op.smVf, op.memVf, op.cta).name;
-        row.smVf = op.smVf;
-        row.memVf = op.memVf;
-        row.cta = op.cta;
-        row.predictedSeconds = model.predictSeconds(op);
-        row.predictedCycles = model.predictCycles(op);
-        row.predictedJoules = model.predictJoules(op);
-        result.table.push_back(std::move(row));
-    }
-    for (std::size_t i = 0; i < probes.size(); ++i) {
-        SweepPointRow &row =
-            result.table[static_cast<std::size_t>(simulated_ids[i])];
-        const RunMetrics &m = result.points[i].total;
-        row.measuredSeconds = m.seconds;
-        row.measuredCycles = static_cast<double>(m.smCycles);
-        row.measuredJoules = m.totalJoules();
-        row.simulated = true;
+    for (std::size_t i = 0; i < grid_points.size(); ++i) {
+        SweepPointRow &row = result.table[i];
+        row.predictedSeconds = model.predictSeconds(grid_points[i]);
+        row.predictedCycles = model.predictCycles(grid_points[i]);
+        row.predictedJoules = model.predictJoules(grid_points[i]);
     }
 
     // --- Choose what else to simulate: the predicted winners, their
@@ -337,23 +288,9 @@ runModelSweep(ExperimentRunner &runner, const SweepPlan &plan)
     }
 
     for (int id : to_simulate) {
-        const OperatingPoint &op = grid_points[static_cast<std::size_t>(id)];
-        AppRunResult r = simulatePoint(op, nullptr);
-        SweepPointRow &row = result.table[static_cast<std::size_t>(id)];
-        row.measuredSeconds = r.total.seconds;
-        row.measuredCycles = static_cast<double>(r.total.smCycles);
-        row.measuredJoules = r.total.totalJoules();
-        row.simulated = true;
-        result.points.push_back(std::move(r));
-        ++runner.stats_.counter("sweep.frontier_sims");
+        recordSweepPoint(result, id, measure_point(id, nullptr));
+        ++stats.counter("sweep.frontier_sims");
     }
-
-    // --- The winners are measured, never predicted: the model only
-    // decided where to spend simulations.
-    result.bestPerf = bestSweepRow(result.table, false);
-    result.bestEnergy = bestSweepRow(result.table, true);
-    result.stats = runner.stats_.snapshotAndReset();
-    return result;
 }
 
 } // namespace equalizer

@@ -2,23 +2,25 @@
  * @file
  * The model-guided sweep driver (docs/AUTOTUNE.md).
  *
- * runModelSweep() executes a SweepPlan with SweepStrategy::Model: it
- * simulates the shared warm-up prefix once, forks a handful of probe
- * points off the warmed state (plus one traced fork that feeds the
- * feature extractor), fits a SweepModel to the probe measurements,
- * predicts time and energy for every grid point, and then simulates
- * only the predicted epsilon-Pareto frontier — the predicted best-perf
- * and best-energy points, their CTA neighbours, and as many further
- * frontier points as the simulation budget (one fifth of the grid)
- * allows. The returned winners are chosen from *measured* values of
- * the simulated subset, so a model sweep that explores the true optima
- * reports exactly the same best-perf/best-energy answers as an
- * exhaustive sweep (bench/bench_autotune.cc gates this).
+ * runModelSweep() is the search of SweepStrategy::Model: it measures a
+ * handful of probe points through the runner's one point path (a fork
+ * of the warmed prefix; the first probe also records a trace that
+ * feeds the feature extractor), fits a SweepModel to the probe
+ * measurements, predicts time and energy for every grid point, and
+ * then simulates only the predicted epsilon-Pareto frontier — the
+ * predicted best-perf and best-energy points, their CTA neighbours,
+ * and as many further frontier points as the simulation budget (one
+ * fifth of the grid) allows. runSweep() picks the winners from
+ * *measured* values of the simulated subset, so a model sweep that
+ * explores the true optima reports exactly the same
+ * best-perf/best-energy answers as an exhaustive sweep
+ * (bench/bench_autotune.cc gates this).
  */
 
 #ifndef EQ_AUTOTUNE_AUTOTUNER_HH
 #define EQ_AUTOTUNE_AUTOTUNER_HH
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -47,8 +49,29 @@ std::vector<OperatingPoint>
 selectProbePoints(const std::vector<OperatingPoint> &grid_points,
                   const SweepGrid &grid, int budget);
 
-/** Model-strategy sweep (declared friend of ExperimentRunner). */
-SweepResult runModelSweep(ExperimentRunner &runner, const SweepPlan &plan);
+/**
+ * Measures sweep point @p id (its index in the plan's point list, the
+ * grid id of a grid-driven plan): a fresh GPU forks the warmed prefix
+ * (or re-simulates it), records into @p point_tracer when non-null,
+ * and runs the point's suffix. ExperimentRunner::runSweep() supplies
+ * it and counts what it simulates.
+ */
+using SweepPointFn =
+    std::function<AppRunResult(int id, Tracer *point_tracer)>;
+
+/**
+ * The model strategy's search over @p grid_points, whose rows
+ * ExperimentRunner::runSweep() has already put in @p result.table.
+ * Every simulation goes through @p measure_point; the search records
+ * the simulated points, predictions, fit errors and probe features in
+ * @p result and counts grid points, probes and frontier simulations in
+ * @p stats. With @p trace_probe the first probe records into a private
+ * feature tracer (false when the runner already traces every point).
+ */
+void runModelSweep(const SweepPlan &plan, double sm_nominal_hz,
+                   const std::vector<OperatingPoint> &grid_points,
+                   const SweepPointFn &measure_point, bool trace_probe,
+                   SweepResult &result, StatRegistry &stats);
 
 } // namespace equalizer
 

@@ -8,19 +8,6 @@
 namespace equalizer
 {
 
-Config
-Config::fromArgs(const std::vector<std::string> &args)
-{
-    Config cfg;
-    for (const auto &arg : args) {
-        auto pos = arg.find('=');
-        if (pos == std::string::npos || pos == 0)
-            fatal("malformed option '", arg, "', expected key=value");
-        cfg.set(arg.substr(0, pos), arg.substr(pos + 1));
-    }
-    return cfg;
-}
-
 namespace
 {
 

@@ -37,13 +37,12 @@ class Config
   public:
     Config() = default;
 
-    /** Parse "key=value" tokens; tokens without '=' raise fatal(). */
-    static Config fromArgs(const std::vector<std::string> &args);
-
     /**
-     * Knob-registry parse: every key is canonicalized (hyphens become
-     * underscores, registered aliases map to their knob's name, both
-     * with a deprecation warn()), then validated against the registry.
+     * Parse "key=value" tokens against a knob registry; a token
+     * without '=' raises fatal(). Every key is canonicalized (hyphens
+     * become underscores, registered aliases map to their knob's name,
+     * both with a deprecation warn()), then validated against the
+     * registry.
      * An unregistered key fatal()s, suggesting the closest registered
      * keys ("did you mean"), so a typo like "kernal=lbm" fails loudly
      * instead of being silently ignored. The returned Config only

@@ -1,10 +1,8 @@
 /**
  * @file
- * A small named-statistics registry.
- *
- * Components register scalar counters and distributions by name; the
- * harness dumps them after a run. Deliberately simple: no formulas, no
- * hierarchy beyond dotted names.
+ * Named monotone counters: the bookkeeping a sweep hands back in
+ * SweepResult::stats (sweep.points, sweep.forks, ...). Deliberately
+ * simple: no formulas, no hierarchy beyond dotted names.
  */
 
 #ifndef EQ_COMMON_STATS_HH
@@ -13,193 +11,31 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace equalizer
 {
 
-class StateVisitor;
-
-/** A monotonically growing scalar statistic. */
-class Counter
-{
-  public:
-    Counter() = default;
-
-    Counter &
-    operator+=(std::uint64_t delta)
-    {
-        value_ += delta;
-        return *this;
-    }
-
-    Counter &
-    operator++()
-    {
-        ++value_;
-        return *this;
-    }
-
-    /** Return to the freshly-constructed state. */
-    void reset() { *this = Counter{}; }
-
-    /** Capture the current value and reset — nothing carries over. */
-    Counter
-    snapshotAndReset()
-    {
-        Counter snap = *this;
-        reset();
-        return snap;
-    }
-
-    std::uint64_t value() const { return value_; }
-
-    void visitState(StateVisitor &v);
-
-  private:
-    std::uint64_t value_ = 0;
-};
-
-/** A running mean/min/max over observed samples. */
-class Distribution
-{
-  public:
-    void
-    sample(double v)
-    {
-        sum_ += v;
-        ++count_;
-        if (count_ == 1 || v < min_)
-            min_ = v;
-        if (count_ == 1 || v > max_)
-            max_ = v;
-    }
-
-    /**
-     * Return to the freshly-constructed state. The next sample() fully
-     * re-arms min/max, so no pre-reset sample can leak through.
-     */
-    void reset() { *this = Distribution{}; }
-
-    /** Capture the current moments and reset — nothing carries over. */
-    Distribution
-    snapshotAndReset()
-    {
-        Distribution snap = *this;
-        reset();
-        return snap;
-    }
-
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-    std::uint64_t count() const { return count_; }
-
-    void visitState(StateVisitor &v);
-
-  private:
-    double sum_ = 0;
-    double min_ = 0;
-    double max_ = 0;
-    std::uint64_t count_ = 0;
-};
-
-/**
- * A last-value statistic: components publish the current level of some
- * quantity (queue depth, block target, joules so far) and the tracing
- * subsystem samples it once per epoch — the "live metrics" counterpart
- * of the monotone Counter (docs/TRACING.md).
- */
-class Gauge
-{
-  public:
-    /** Publish the current level. */
-    void
-    set(double v)
-    {
-        value_ = v;
-        if (sets_ == 0 || v < min_)
-            min_ = v;
-        if (sets_ == 0 || v > max_)
-            max_ = v;
-        ++sets_;
-    }
-
-    /** Return to the freshly-constructed state. */
-    void reset() { *this = Gauge{}; }
-
-    /** Capture the current level and extremes, then reset. */
-    Gauge
-    snapshotAndReset()
-    {
-        Gauge snap = *this;
-        reset();
-        return snap;
-    }
-
-    double value() const { return value_; }
-    double min() const { return min_; }
-    double max() const { return max_; }
-    std::uint64_t sets() const { return sets_; }
-
-    void visitState(StateVisitor &v);
-
-  private:
-    double value_ = 0;
-    double min_ = 0;
-    double max_ = 0;
-    std::uint64_t sets_ = 0;
-};
-
-/**
- * Owner of named statistics. Each simulated GPU instance carries one
- * registry so concurrent experiments never share counters.
- */
+/** Owner of named counters; each sweep call fills its own. */
 class StatRegistry
 {
   public:
     /** Get or create a counter with the given dotted name. */
-    Counter &counter(const std::string &name);
-
-    /** Get or create a distribution with the given dotted name. */
-    Distribution &distribution(const std::string &name);
-
-    /** Get or create a gauge with the given dotted name. */
-    Gauge &gauge(const std::string &name);
-
-    /** Look up a gauge's last value; 0.0 when absent. */
-    double gaugeValue(const std::string &name) const;
-
-    /** Look up a counter's value; 0 when absent. */
-    std::uint64_t counterValue(const std::string &name) const;
-
-    /** Reset every registered statistic to zero. */
-    void resetAll();
-
-    /**
-     * Capture every registered statistic and reset them all in one
-     * step, so samples accumulated before the cut (e.g. a forked
-     * sweep's shared prefix) cannot leak into the next interval.
-     * Registered names survive the reset.
-     */
-    StatRegistry snapshotAndReset();
-
-    /** Render "name value" lines, sorted by name. */
-    std::string dump() const;
-
-    void visitState(StateVisitor &v);
-
-    const std::map<std::string, Counter> &counters() const
+    std::uint64_t &
+    counter(const std::string &name)
     {
-        return counters_;
+        return counters_[name];
     }
 
-    const std::map<std::string, Gauge> &gauges() const { return gauges_; }
+    /** Look up a counter's value; 0 when absent. */
+    std::uint64_t
+    counterValue(const std::string &name) const
+    {
+        auto it = counters_.find(name);
+        return it == counters_.end() ? 0 : it->second;
+    }
 
   private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Distribution> distributions_;
-    std::map<std::string, Gauge> gauges_;
+    std::map<std::string, std::uint64_t> counters_;
 };
 
 } // namespace equalizer

@@ -310,7 +310,7 @@ GpuTop::distributeBlocks()
     // small grids spread across the partition instead of piling onto
     // the first few SMs. Dispatch is gated by the owning tenant's
     // token bucket (tenant.hh); partitions are exclusive, so the
-    // per-invocation order equals the legacy whole-device sweep.
+    // per-invocation order equals one sweep over the whole device.
     for (auto &inv : invocations_) {
         if (!inv.active() || !inv.gwde().hasBlocks())
             continue;
@@ -569,8 +569,7 @@ GpuTop::finishRun()
 
     // Close out invocations still open — the common case: the final
     // invocation's completion is detected lazily by allDone(), so its
-    // KernelEnd lands here, after the controller's completion hook,
-    // exactly like the legacy single-kernel path.
+    // KernelEnd lands here, after the controller's completion hook.
     for (auto &inv : invocations_)
         if (inv.active())
             completeInvocation(inv);

@@ -214,16 +214,6 @@ class GpuTop
 
     const GpuConfig &config() const { return cfg_; }
 
-    /**
-     * The launch currently (or most recently) running, when the run
-     * has a single identity; nullptr during multi-invocation co-runs.
-     */
-    const KernelLaunch *currentKernel() const
-    {
-        return invocations_.size() == 1 ? invocations_.front().launch()
-                                        : nullptr;
-    }
-
     /** Uniformly set every SM's target block count. */
     void setAllTargetBlocks(int target);
 
@@ -303,8 +293,8 @@ class GpuTop
   private:
     /**
      * The steppable run loop (gpu/scheduler_core.hh) owns the launch
-     * preambles and the clock-edge interleave that used to live here;
-     * runKernel()/runTenants()/resume*() are thin clients of it.
+     * preambles and the clock-edge interleave; runKernel(),
+     * runTenants() and resume*() are thin clients of it.
      */
     friend class SchedulerCore;
 
@@ -368,7 +358,7 @@ class GpuTop
      * Create the invocation for @p tenant's launch @p kernel, bind its
      * SM partition and reset its work cursor. Hook/trace emission is
      * separate (launchHooks) so a run's initial launches bind every SM
-     * before the first controller callback, like the legacy paths.
+     * before the first controller callback.
      */
     KernelInvocation &makeInvocation(Tenant &tenant,
                                      const KernelLaunch &kernel);

@@ -1,6 +1,6 @@
 /**
  * @file
- * The Global Work Distribution Engine: hands thread blocks to SMs.
+ * The global work-distribution engine (GWDE): hands thread blocks to SMs.
  */
 
 #ifndef EQ_GPU_GWDE_HH

@@ -2,8 +2,7 @@
  * @file
  * A kernel invocation as a first-class object: the launch, the SM-slot
  * set it runs on, its private work-distribution cursor and its
- * per-invocation accounting, replacing the former device-global
- * currentKernel_/GlobalWorkDistributor pair inside GpuTop.
+ * per-invocation accounting.
  */
 
 #ifndef EQ_GPU_KERNEL_INVOCATION_HH
@@ -62,7 +61,6 @@ class KernelInvocation
     /** True between launch and grid completion. */
     bool active() const { return active_; }
 
-    Cycle launchCycle() const { return launchCycle_; }
     Cycle completeCycle() const { return completeCycle_; }
 
     /** Warp instructions its SMs issued over the invocation. */

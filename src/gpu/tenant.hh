@@ -24,7 +24,7 @@ namespace equalizer
 /** How GpuTop::configureTenants carves SMs into exclusive sets. */
 enum class PartitionPolicy
 {
-    /** SM i belongs to tenant i % T (the legacy concurrent layout). */
+    /** SM i belongs to tenant i % T. */
     RoundRobin,
     /** Contiguous stripes: tenant t gets SMs [t*N/T, (t+1)*N/T). */
     Blocked,

@@ -49,18 +49,14 @@ runCoRun(GpuTop &gpu, const std::vector<CoRunTenant> &tenants,
         specs.push_back({t.name, t.smLimit});
     gpu.configureTenants(specs, opts.partition);
 
-    // The launches must outlive the run; invocation objects keep only
-    // non-owning pointers.
+    // Each tenant runs its kernel's invocation 0. The launches must
+    // outlive the run; invocation objects keep only non-owning pointers.
     std::vector<std::unique_ptr<SyntheticKernel>> launches;
     for (std::size_t i = 0; i < tenants.size(); ++i) {
         const auto &entry = KernelZoo::byName(tenants[i].kernel);
-        const int n_inv =
-            opts.allInvocations ? entry.params.invocationCount() : 1;
-        for (int inv = 0; inv < n_inv; ++inv) {
-            launches.push_back(
-                std::make_unique<SyntheticKernel>(entry.params, inv));
-            gpu.enqueueKernel(static_cast<int>(i), *launches.back());
-        }
+        launches.push_back(
+            std::make_unique<SyntheticKernel>(entry.params, 0));
+        gpu.enqueueKernel(static_cast<int>(i), *launches.back());
     }
 
     CoRunResult result;

@@ -30,13 +30,6 @@ struct CoRunOptions
 {
     PartitionPolicy partition = PartitionPolicy::RoundRobin;
     Cycle maxSmCycles = 2'000'000'000ULL;
-
-    /**
-     * Run every invocation of each tenant's application schedule
-     * (queued launches, exercising mid-co-run relaunch) instead of
-     * invocation 0 only.
-     */
-    bool allInvocations = false;
 };
 
 /** A finished co-run: combined device metrics plus per-tenant rows. */

@@ -1,6 +1,8 @@
 #include "runner.hh"
 
 #include <cmath>
+#include <optional>
+#include <utility>
 
 #include "autotune/autotuner.hh"
 #include "common/log.hh"
@@ -83,19 +85,20 @@ ExperimentRunner::threads() const
     return executor_ ? executor_->threads() : 1;
 }
 
-AppRunResult
-ExperimentRunner::run(const KernelParams &kernel, const PolicySpec &policy,
-                      const Instrument &instrument)
+namespace
 {
-    const std::string key = kernel.name + "\x1f" + policy.name;
-    if (!instrument && !tracer_) {
-        for (const auto &[k, v] : cache_)
-            if (k == key)
-                return v;
-    }
 
-    GpuTop gpu(gpuCfg_, powerCfg_);
-    wire(gpu);
+/**
+ * Run invocations [first_inv, count) of @p kernel on @p gpu under a
+ * freshly built @p policy; @p instrument (if any) sees the GPU and the
+ * controller before the first invocation. run() and every sweep
+ * point's suffix share this loop.
+ */
+AppRunResult
+runInvocations(GpuTop &gpu, const KernelParams &kernel,
+               const PolicySpec &policy, int first_inv,
+               const ExperimentRunner::Instrument &instrument = {})
+{
     auto controller = policy.build();
     gpu.setController(controller.get());
     if (instrument)
@@ -105,15 +108,65 @@ ExperimentRunner::run(const KernelParams &kernel, const PolicySpec &policy,
     result.kernel = kernel.name;
     result.policy = policy.name;
     result.total.kernel = kernel.name;
-
-    for (int inv = 0; inv < kernel.invocationCount(); ++inv) {
+    for (int inv = first_inv; inv < kernel.invocationCount(); ++inv) {
         SyntheticKernel launch(kernel, inv);
         RunMetrics m = gpu.runKernel(launch);
         result.total += m;
         result.invocations.push_back(std::move(m));
     }
+    gpu.setController(nullptr); // the controller dies here, the GPU may not
+    return result;
+}
 
-    if (!instrument && !tracer_)
+/**
+ * Simulate the plan's warm-up prefix on @p gpu under
+ * plan.prefixPolicy, leaving no controller or policy hooks installed.
+ */
+void
+runPrefix(GpuTop &gpu, const SweepPlan &plan, StatRegistry &stats)
+{
+    auto warmup = plan.prefixPolicy.build();
+    gpu.setController(warmup.get());
+    for (int inv = 0; inv < plan.prefixInvocations; ++inv) {
+        SyntheticKernel launch(plan.kernel, inv);
+        gpu.runKernel(launch);
+    }
+    stats.counter("sweep.prefix_invocations") +=
+        static_cast<std::uint64_t>(plan.prefixInvocations);
+    gpu.setController(nullptr);
+    gpu.clearPolicyHooks(); // a CCWS warm-up's hooks die with it
+}
+
+/** fatal() unless the plan's prefix fits the kernel's schedule. */
+void
+checkPrefix(const KernelParams &kernel, int prefix_invocations)
+{
+    if (prefix_invocations < 0 ||
+        prefix_invocations > kernel.invocationCount()) {
+        fatal("sweep prefix of ", prefix_invocations,
+              " invocations is outside this kernel's schedule of ",
+              kernel.invocationCount());
+    }
+}
+
+} // namespace
+
+AppRunResult
+ExperimentRunner::run(const KernelParams &kernel, const PolicySpec &policy,
+                      const Instrument &instrument)
+{
+    const std::string key = kernel.name + "\x1f" + policy.name;
+    const bool cacheable = !instrument && !tracer_;
+    if (cacheable) {
+        for (const auto &[k, v] : cache_)
+            if (k == key)
+                return v;
+    }
+
+    GpuTop gpu(gpuCfg_, powerCfg_);
+    wire(gpu);
+    AppRunResult result = runInvocations(gpu, kernel, policy, 0, instrument);
+    if (cacheable)
         cache_.emplace_back(key, result);
     return result;
 }
@@ -135,87 +188,18 @@ ExperimentRunner::wire(GpuTop &gpu) const
 }
 
 void
-ExperimentRunner::runPrefix(GpuTop &gpu, const SweepPlan &plan)
+recordSweepPoint(SweepResult &result, int id, AppRunResult point)
 {
-    auto warmup = plan.prefixPolicy.build();
-    gpu.setController(warmup.get());
-    for (int inv = 0; inv < plan.prefixInvocations; ++inv) {
-        SyntheticKernel launch(plan.kernel, inv);
-        gpu.runKernel(launch);
-        ++stats_.counter("sweep.prefix_invocations");
-    }
-    gpu.setController(nullptr);
-    gpu.clearPolicyHooks(); // a CCWS warm-up's hooks die with it
-}
-
-AppRunResult
-ExperimentRunner::runSuffix(GpuTop &gpu, const KernelParams &kernel,
-                            const PolicySpec &policy, int first_inv)
-{
-    // A hook-installing warm-up policy (CCWS) must not keep steering
-    // the suffix; a forked child starts hook-free either way.
-    gpu.clearPolicyHooks();
-    auto controller = policy.build();
-    gpu.setController(controller.get());
-
-    AppRunResult result;
-    result.kernel = kernel.name;
-    result.policy = policy.name;
-    result.total.kernel = kernel.name;
-    for (int inv = first_inv; inv < kernel.invocationCount(); ++inv) {
-        SyntheticKernel launch(kernel, inv);
-        RunMetrics m = gpu.runKernel(launch);
-        ++stats_.counter("sweep.invocations");
-        result.total += m;
-        result.invocations.push_back(std::move(m));
-    }
-    gpu.setController(nullptr);
-    return result;
-}
-
-void
-ExperimentRunner::checkPrefix(const KernelParams &kernel,
-                              int prefix_invocations) const
-{
-    if (prefix_invocations < 0 ||
-        prefix_invocations > kernel.invocationCount()) {
-        fatal("sweep prefix of ", prefix_invocations,
-              " invocations is outside this kernel's schedule of ",
-              kernel.invocationCount());
-    }
-}
-
-namespace
-{
-
-/**
- * Fill the grid table of an exhaustive (cold/warm) sweep: every grid
- * point was simulated in id order, so measurement i belongs to row i.
- */
-void
-fillExhaustiveTable(SweepResult &result,
-                    const std::vector<OperatingPoint> &grid_points,
-                    const std::vector<PolicySpec> &policies)
-{
-    for (std::size_t i = 0; i < grid_points.size(); ++i) {
-        const RunMetrics &m = result.points[i].total;
-        SweepPointRow row;
-        row.id = static_cast<int>(i);
-        row.policy = policies[i].name;
-        row.smVf = grid_points[i].smVf;
-        row.memVf = grid_points[i].memVf;
-        row.cta = grid_points[i].cta;
+    if (!result.table.empty()) {
+        const RunMetrics &m = point.total;
+        SweepPointRow &row = result.table[static_cast<std::size_t>(id)];
         row.measuredSeconds = m.seconds;
         row.measuredCycles = static_cast<double>(m.smCycles);
         row.measuredJoules = m.totalJoules();
         row.simulated = true;
-        result.table.push_back(std::move(row));
     }
-    result.bestPerf = bestSweepRow(result.table, false);
-    result.bestEnergy = bestSweepRow(result.table, true);
+    result.points.push_back(std::move(point));
 }
-
-} // namespace
 
 int
 bestSweepRow(const std::vector<SweepPointRow> &table, bool by_energy)
@@ -241,53 +225,81 @@ SweepResult
 ExperimentRunner::runSweep(const SweepPlan &plan)
 {
     checkPrefix(plan.kernel, plan.prefixInvocations);
-    if (plan.strategy == SweepStrategy::Model)
-        return runModelSweep(*this, plan);
+    const bool model = plan.strategy == SweepStrategy::Model;
+    if (model && !plan.points.empty()) {
+        fatal("the model sweep strategy is grid-driven; it cannot take "
+              "explicit policy points");
+    }
 
     // Explicit points produce no table; a grid-driven plan expands to
-    // operating-point policies and fills the table afterwards.
+    // one operating-point policy and one table row per grid point.
+    SweepResult result;
     std::vector<OperatingPoint> grid_points;
     std::vector<PolicySpec> points = plan.points;
     if (points.empty()) {
         grid_points = expandSweepGrid(gpuCfg_, plan.kernel, plan.grid);
-        for (const auto &op : grid_points)
+        for (const auto &op : grid_points) {
             points.push_back(
                 policies::operatingPoint(op.smVf, op.memVf, op.cta));
+            SweepPointRow row;
+            row.id = static_cast<int>(result.table.size());
+            row.policy = points.back().name;
+            row.smVf = op.smVf;
+            row.memVf = op.memVf;
+            row.cta = op.cta;
+            result.table.push_back(std::move(row));
+        }
     }
 
-    SweepResult result;
-    if (plan.strategy == SweepStrategy::Cold) {
-        for (const auto &point : points) {
-            GpuTop gpu(gpuCfg_, powerCfg_);
-            wire(gpu);
-            runPrefix(gpu, plan);
-            result.points.push_back(runSuffix(gpu, plan.kernel, point,
-                                              plan.prefixInvocations));
-            ++stats_.counter("sweep.points");
+    // Warm and Model pay for the shared history once, in a parent
+    // every point forks; Cold re-simulates it per point.
+    StatRegistry stats;
+    std::optional<GpuTop> parent;
+    if (plan.strategy != SweepStrategy::Cold) {
+        parent.emplace(gpuCfg_, powerCfg_);
+        wire(*parent);
+        runPrefix(*parent, plan, stats);
+    }
+
+    // The one point path. A per-point tracer must be installed before
+    // the fork so it records the Fork event. Forking with no
+    // controller installed drops the warm-up policy's internal state,
+    // exactly as a cold point that builds its controller after the
+    // prefix.
+    const SweepPointFn measure_point = [&](int id, Tracer *point_tracer) {
+        GpuTop gpu(gpuCfg_, powerCfg_);
+        wire(gpu);
+        if (point_tracer)
+            gpu.setTracer(point_tracer);
+        if (parent) {
+            gpu.forkFrom(*parent);
+            ++stats.counter("sweep.forks");
+        } else {
+            runPrefix(gpu, plan, stats);
         }
+        const PolicySpec &policy = points[static_cast<std::size_t>(id)];
+        AppRunResult r = runInvocations(gpu, plan.kernel, policy,
+                                        plan.prefixInvocations);
+        stats.counter("sweep.invocations") += r.invocations.size();
+        ++stats.counter("sweep.points");
+        return r;
+    };
+
+    if (model) {
+        runModelSweep(plan, gpuCfg_.smNominalHz, grid_points,
+                      measure_point, tracer_ == nullptr, result, stats);
     } else {
-        GpuTop parent(gpuCfg_, powerCfg_);
-        wire(parent);
-        runPrefix(parent, plan);
-
-        for (const auto &point : points) {
-            // Fork with no controller installed: the warm-up policy's
-            // internal state is dropped, exactly as a cold point that
-            // builds its controller after the prefix.
-            GpuTop child(gpuCfg_, powerCfg_);
-            wire(child);
-            child.forkFrom(parent);
-            ++stats_.counter("sweep.forks");
-
-            result.points.push_back(runSuffix(child, plan.kernel, point,
-                                              plan.prefixInvocations));
-            ++stats_.counter("sweep.points");
+        for (std::size_t i = 0; i < points.size(); ++i) {
+            const int id = static_cast<int>(i);
+            recordSweepPoint(result, id, measure_point(id, nullptr));
         }
     }
 
-    if (!grid_points.empty())
-        fillExhaustiveTable(result, grid_points, points);
-    result.stats = stats_.snapshotAndReset();
+    // The winners are measured, never predicted: the model only
+    // decided where to spend simulations.
+    result.bestPerf = bestSweepRow(result.table, false);
+    result.bestEnergy = bestSweepRow(result.table, true);
+    result.stats = std::move(stats);
     return result;
 }
 

@@ -42,7 +42,7 @@ struct AppRunResult
 struct SweepResult
 {
     std::vector<AppRunResult> points; ///< one per *simulated* point
-    StatRegistry stats; ///< sweep.* counters (forks, invocations, ...)
+    StatRegistry stats; ///< this call's sweep.* counters (forks, ...)
 
     /**
      * One row per grid point when the plan was grid-driven (empty for
@@ -65,6 +65,13 @@ struct SweepResult
     std::uint64_t probeEpochSamples = 0;
 };
 
+/**
+ * Append one measured sweep point to @p result; in a grid-driven sweep
+ * also copy its suffix totals into table row @p id and mark the row
+ * simulated (the one place a row's measured fields are written).
+ */
+void recordSweepPoint(SweepResult &result, int id, AppRunResult point);
+
 /** Relative performance: baseline time / variant time (>1 = faster). */
 double speedupOver(const RunMetrics &baseline, const RunMetrics &variant);
 
@@ -82,8 +89,9 @@ double geomean(const std::vector<double> &values);
 /**
  * Runs kernels under policies on freshly constructed GPUs.
  *
- * A small cache keyed by (kernel, policy) avoids re-simulating the
- * baseline for every figure that normalizes against it.
+ * A small cache keyed by (kernel name, policy name) avoids
+ * re-simulating the baseline for every figure that normalizes against
+ * it.
  */
 class ExperimentRunner
 {
@@ -119,6 +127,11 @@ class ExperimentRunner
     /**
      * Simulate every invocation of @p kernel under @p policy.
      *
+     * Results are cached by kernel name and *policy name*: two specs
+     * that share a name but build differently configured controllers
+     * must carry distinct names, or the second returns the first's
+     * cached result.
+     *
      * @param instrument Optional hook for monitors/traces (disables the
      *        result cache for that call).
      */
@@ -141,9 +154,11 @@ class ExperimentRunner
      * prefix per point, Warm simulates it once and forks each point
      * (bit-identical per-point results), Model additionally fits a
      * predictor to a few warmed probes and simulates only the
-     * predicted Pareto frontier. Grid-driven plans (empty
-     * plan.points) also fill SweepResult::table and the winner
-     * indices.
+     * predicted Pareto frontier. Either way each point is measured
+     * by the same path: a fresh GPU that forks the warmed parent (or
+     * re-simulates the prefix), then the point's suffix. Grid-driven
+     * plans (empty plan.points) also fill SweepResult::table and the
+     * winner indices. The returned counters cover this call only.
      */
     SweepResult runSweep(const SweepPlan &plan);
 
@@ -153,39 +168,14 @@ class ExperimentRunner
     const GpuConfig &gpuConfig() const { return gpuCfg_; }
 
   private:
-    /// The model-guided strategy lives in src/autotune (the harness
-    /// dispatches to it from runSweep); it drives warmed forks through
-    /// wire(), runPrefix(), runSuffix() and the sweep counters directly.
-    friend SweepResult runModelSweep(ExperimentRunner &runner,
-                                     const SweepPlan &plan);
-
     /** Install the runner's worker pool and tracer on a fresh GPU. */
     void wire(GpuTop &gpu) const;
-
-    /**
-     * Simulate the plan's warm-up prefix on @p gpu under
-     * plan.prefixPolicy, leaving no controller or policy hooks
-     * installed.
-     */
-    void runPrefix(GpuTop &gpu, const SweepPlan &plan);
-
-    /** Suffix of a sweep point: invocations [first_inv, count). */
-    AppRunResult runSuffix(GpuTop &gpu, const KernelParams &kernel,
-                           const PolicySpec &policy, int first_inv);
-
-    /** fatal() unless the plan's prefix fits the kernel's schedule. */
-    void checkPrefix(const KernelParams &kernel,
-                     int prefix_invocations) const;
 
     GpuConfig gpuCfg_;
     PowerConfig powerCfg_;
     Tracer *tracer_ = nullptr;
     std::unique_ptr<ParallelExecutor> executor_; ///< null = serial path
     std::vector<std::pair<std::string, AppRunResult>> cache_;
-
-    /// Sweep bookkeeping; snapshotAndReset() between sweeps keeps the
-    /// counters of one sweep from leaking into the next.
-    StatRegistry stats_;
 };
 
 } // namespace equalizer

@@ -52,9 +52,6 @@ class ClockDomain
         return nominalHz_ * frequencyScale(state_);
     }
 
-    /** Current supply voltage relative to nominal (unitless). */
-    double relativeVoltage() const { return voltageScale(state_); }
-
     /** Clock period at the current state, in ticks. */
     Tick period() const { return periods_[index(state_)]; }
 

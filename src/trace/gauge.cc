@@ -11,28 +11,14 @@ GaugeRegistry::define(const std::string &name)
     for (std::size_t i = 0; i < gauges_.size(); ++i)
         if (gauges_[i].name == name)
             return static_cast<int>(i);
-    gauges_.push_back(Entry{name, Gauge{}, false});
+    gauges_.push_back(Entry{name, 0.0, false});
     return static_cast<int>(gauges_.size() - 1);
-}
-
-Gauge &
-GaugeRegistry::at(int id)
-{
-    EQ_ASSERT(id >= 0 && id < size(), "unknown gauge id ", id);
-    return gauges_[static_cast<std::size_t>(id)].gauge;
-}
-
-const Gauge &
-GaugeRegistry::at(int id) const
-{
-    EQ_ASSERT(id >= 0 && id < size(), "unknown gauge id ", id);
-    return gauges_[static_cast<std::size_t>(id)].gauge;
 }
 
 void
 GaugeRegistry::set(const std::string &name, double v)
 {
-    at(define(name)).set(v);
+    gauges_[static_cast<std::size_t>(define(name))].value = v;
 }
 
 const std::string &
@@ -57,7 +43,7 @@ GaugeRegistry::sampleInto(std::vector<TraceEvent> &out, Cycle cycle)
         ev.cycle = cycle;
         ev.kind = TraceEventKind::Gauge;
         ev.sm = static_cast<int>(i);
-        ev.p.d[0] = e.gauge.value();
+        ev.p.d[0] = e.value;
         out.push_back(ev);
     }
 }

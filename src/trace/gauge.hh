@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "common/stats.hh"
 #include "trace/trace_event.hh"
 
 namespace equalizer
@@ -32,11 +31,7 @@ class GaugeRegistry
      */
     int define(const std::string &name);
 
-    /** The gauge behind an id (define() first). */
-    Gauge &at(int id);
-    const Gauge &at(int id) const;
-
-    /** Shorthand: define-or-find by name and set the value. */
+    /** Define-or-find the gauge by name and publish its current level. */
     void set(const std::string &name, double v);
 
     const std::string &name(int id) const;
@@ -52,7 +47,7 @@ class GaugeRegistry
     struct Entry
     {
         std::string name;
-        Gauge gauge;
+        double value = 0.0; ///< last published level
         bool announced = false;
     };
 

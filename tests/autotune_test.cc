@@ -9,6 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <iterator>
+#include <ostream>
 #include <vector>
 
 #include "autotune/autotuner.hh"
@@ -17,6 +20,8 @@
 #include "autotune/occupancy.hh"
 #include "harness/runner.hh"
 #include "kernels/kernel_zoo.hh"
+#include "trace/sink.hh"
+#include "trace/tracer.hh"
 
 using namespace equalizer;
 
@@ -435,6 +440,37 @@ TEST(AutotuneDeterminism, ModelSweepIdenticalAcrossThreads)
     EXPECT_EQ(a.probeEpochSamples, b.probeEpochSamples);
 }
 
+TEST(SweepApi, RunnerTracerReplacesTheProbeTrace)
+{
+    // A runner-wide tracer records every point, so the model's first
+    // probe gets no private feature trace: its features come from run
+    // totals alone, and every measurement stays bit-identical.
+    ExperimentRunner plain;
+    const SweepResult ref =
+        plain.runSweep(smallPlan(SweepStrategy::Model));
+
+    MemoryTraceSink sink;
+    Tracer tracer(TraceConfig{}, sink);
+    ExperimentRunner traced;
+    traced.setTracer(&tracer);
+    const SweepResult got =
+        traced.runSweep(smallPlan(SweepStrategy::Model));
+    tracer.finish();
+
+    EXPECT_GT(tracer.eventsRecorded(), 0u);
+    EXPECT_GT(ref.probeEpochSamples, 0u);
+    EXPECT_EQ(got.probeEpochSamples, 0u);
+    EXPECT_EQ(got.probeIpc, ref.probeIpc);
+    ASSERT_EQ(got.table.size(), ref.table.size());
+    for (std::size_t i = 0; i < got.table.size(); ++i) {
+        EXPECT_EQ(got.table[i].simulated, ref.table[i].simulated) << i;
+        EXPECT_EQ(got.table[i].measuredSeconds,
+                  ref.table[i].measuredSeconds) << i;
+        EXPECT_EQ(got.table[i].measuredJoules,
+                  ref.table[i].measuredJoules) << i;
+    }
+}
+
 TEST(SweepApi, BestRowSelection)
 {
     std::vector<SweepPointRow> table(3);
@@ -454,6 +490,107 @@ TEST(SweepApi, BestRowSelection)
     table[0].simulated = false; // unsimulated rows never win
     EXPECT_EQ(bestSweepRow(table, true), 2);
     EXPECT_EQ(bestSweepRow({}, false), -1);
+}
+
+namespace
+{
+
+/**
+ * An 18-point grid over a shrunken bp-1 (30 blocks of 200-instruction
+ * warps), small enough to sweep cold in about a second, large enough
+ * that a 2-probe model sweep spends one frontier simulation.
+ */
+SweepPlan
+counterPlan(SweepStrategy strategy)
+{
+    SweepPlan plan = smallPlan(strategy);
+    plan.kernel.instrsPerWarp = 200;
+    plan.kernel.totalBlocks = 30;
+    plan.grid.smStates = {VfState::Low, VfState::Normal, VfState::High};
+    plan.grid.memStates = {VfState::Low, VfState::High};
+    plan.grid.blocks = {1, 2, 3};
+    plan.probePoints = 2;
+    return plan;
+}
+
+constexpr const char *kSweepCounters[] = {
+    "sweep.points",      "sweep.forks",       "sweep.prefix_invocations",
+    "sweep.invocations", "sweep.grid_points", "sweep.probes",
+    "sweep.frontier_sims"};
+
+/** One strategy and its sweep.* counters, in kSweepCounters order. */
+struct CounterCase
+{
+    SweepStrategy strategy;
+    std::uint64_t values[7];
+};
+
+// A readable parameter name in the test listing.
+void
+PrintTo(const CounterCase &c, std::ostream *os)
+{
+    *os << sweepStrategyName(c.strategy);
+}
+
+void
+expectCounters(const SweepResult &result, const CounterCase &c)
+{
+    for (std::size_t i = 0; i < std::size(kSweepCounters); ++i) {
+        EXPECT_EQ(result.stats.counterValue(kSweepCounters[i]),
+                  c.values[i])
+            << kSweepCounters[i];
+    }
+}
+
+class SweepCounters : public ::testing::TestWithParam<CounterCase>
+{
+};
+
+} // namespace
+
+TEST_P(SweepCounters, PinnedOnASmallGrid)
+{
+    ExperimentRunner runner;
+    expectCounters(runner.runSweep(counterPlan(GetParam().strategy)),
+                   GetParam());
+}
+
+// Cold re-simulates the 2-invocation prefix per point, Warm once;
+// Model simulates 2 probes plus 1 frontier point of the 18.
+INSTANTIATE_TEST_SUITE_P(
+    Strategies, SweepCounters,
+    ::testing::Values(
+        CounterCase{SweepStrategy::Cold, {18, 0, 36, 18, 0, 0, 0}},
+        CounterCase{SweepStrategy::Warm, {18, 18, 2, 18, 0, 0, 0}},
+        CounterCase{SweepStrategy::Model, {3, 3, 2, 3, 18, 2, 1}}));
+
+TEST(SweepCountersReuse, OneRunnerMatchesFreshRunners)
+{
+    // Counters belong to one runSweep() call: a model sweep and a
+    // plain run() on the same runner leave nothing behind for the next
+    // sweep to report.
+    ExperimentRunner runner;
+    const SweepResult model =
+        runner.runSweep(counterPlan(SweepStrategy::Model));
+    runner.run(counterPlan(SweepStrategy::Warm).kernel,
+               policies::baseline());
+    const SweepResult warm =
+        runner.runSweep(counterPlan(SweepStrategy::Warm));
+
+    ExperimentRunner fresh_model;
+    ExperimentRunner fresh_warm;
+    const SweepResult model_ref =
+        fresh_model.runSweep(counterPlan(SweepStrategy::Model));
+    const SweepResult warm_ref =
+        fresh_warm.runSweep(counterPlan(SweepStrategy::Warm));
+    for (const char *name : kSweepCounters) {
+        EXPECT_EQ(model.stats.counterValue(name),
+                  model_ref.stats.counterValue(name))
+            << name;
+        EXPECT_EQ(warm.stats.counterValue(name),
+                  warm_ref.stats.counterValue(name))
+            << name;
+    }
 }
 
 // --------------------------------------------------------------------

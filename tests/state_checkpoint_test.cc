@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/config.hh"
-#include "common/stats.hh"
 #include "gpu/gpu_top.hh"
 #include "harness/export.hh"
 #include "harness/policies.hh"
@@ -193,42 +192,6 @@ TEST(StateRoundTrip, TamperedPayloadIsFatal)
             loadInto(b, buf);
         },
         ::testing::ExitedWithCode(1), "checkpoint");
-}
-
-// --- Stats reset semantics (fork path) --------------------------------
-
-TEST(Stats, CounterAndDistributionSnapshotAndReset)
-{
-    Counter c;
-    c += 7;
-    const Counter snap = c.snapshotAndReset();
-    EXPECT_EQ(snap.value(), 7u);
-    EXPECT_EQ(c.value(), 0u);
-
-    Distribution d;
-    d.sample(-3.0);
-    d.sample(5.0);
-    const Distribution dsnap = d.snapshotAndReset();
-    EXPECT_EQ(dsnap.count(), 2u);
-    EXPECT_DOUBLE_EQ(dsnap.min(), -3.0);
-    EXPECT_DOUBLE_EQ(dsnap.max(), 5.0);
-    EXPECT_EQ(d.count(), 0u);
-    // A fully re-armed min/max: nothing pre-reset leaks through.
-    d.sample(1.0);
-    EXPECT_DOUBLE_EQ(d.min(), 1.0);
-    EXPECT_DOUBLE_EQ(d.max(), 1.0);
-}
-
-TEST(Stats, RegistrySnapshotAndResetKeepsNames)
-{
-    StatRegistry reg;
-    reg.counter("a.hits") += 3;
-    reg.distribution("a.depth").sample(2.0);
-    const StatRegistry snap = reg.snapshotAndReset();
-    EXPECT_EQ(snap.counterValue("a.hits"), 3u);
-    EXPECT_EQ(reg.counterValue("a.hits"), 0u);
-    // Names survive: the next interval reuses the same statistics.
-    EXPECT_EQ(reg.counters().count("a.hits"), 1u);
 }
 
 // --- Strict argument parsing (satellite) ------------------------------
@@ -536,7 +499,7 @@ TEST(WarmSweep, MatchesColdSweepPointForPoint)
     }
 
     // The warm sweep paid for the prefix once, the cold sweep N times;
-    // snapshotAndReset keeps the intervals from leaking into each other.
+    // each runSweep() call reports its own counters only.
     EXPECT_EQ(cold.stats.counterValue("sweep.prefix_invocations"),
               2u * points.size());
     EXPECT_EQ(warm.stats.counterValue("sweep.prefix_invocations"), 2u);
