@@ -81,7 +81,6 @@ main(int argc, char **argv)
     for (std::size_t i = 0; i < kernels.size(); ++i) {
         CoRunTenant t;
         t.kernel = kernels[i];
-        t.name = "t" + std::to_string(i);
         if (i < limits.size())
             t.smLimit = parseSmLimitKnob(limits[i]);
         tenants.push_back(std::move(t));

@@ -1,7 +1,8 @@
 /**
  * @file
  * Parallel-executor scaling: simulated SM cycles per wall-clock second
- * at 1/2/4/8 worker threads on the default 15-SM configuration.
+ * at 1/2/4/8 worker threads on the default 15-SM configuration, and the
+ * cost of one no-op parallelFor over the SMs (the per-cycle barrier).
  *
  * The simulation is bit-deterministic across thread counts, so every
  * row replays the identical run and the only thing that varies is
@@ -16,7 +17,7 @@
  */
 
 #include <chrono>
-#include <sstream>
+#include <functional>
 
 #include "bench_util.hh"
 #include "common/config.hh"
@@ -30,15 +31,25 @@ using namespace equalizer::bench;
 namespace
 {
 
-std::vector<int>
-parseThreadList(const std::string &csv)
+/**
+ * Microseconds per no-op parallelFor(n) on a pool of @p threads: the
+ * fixed fork-join cost the SM phase pays once per SM cycle.
+ */
+double
+parallelForUs(int threads, int n)
 {
-    std::vector<int> out;
-    std::stringstream ss(csv);
-    std::string tok;
-    while (std::getline(ss, tok, ','))
-        out.push_back(std::stoi(tok));
-    return out;
+    ParallelExecutor exec(threads);
+    const std::function<void(int)> noop = [](int) {};
+    constexpr int warmup = 1'000;
+    constexpr int calls = 20'000;
+    for (int i = 0; i < warmup; ++i)
+        exec.parallelFor(n, noop);
+    const auto start = std::chrono::steady_clock::now();
+    for (int i = 0; i < calls; ++i)
+        exec.parallelFor(n, noop);
+    const std::chrono::duration<double, std::micro> us =
+        std::chrono::steady_clock::now() - start;
+    return us.count() / calls;
 }
 
 } // namespace
@@ -57,7 +68,10 @@ main(int argc, char **argv)
             {"trace", "also measure tracing overhead per row", {}},
         });
     const std::string kernel = cfg.getString("kernel", "kmn");
-    const std::string threads_csv = cfg.getString("threads", "1,2,4,8");
+    std::vector<int> thread_counts;
+    for (const std::string &t : cfg.getList("threads", "1,2,4,8"))
+        thread_counts.push_back(ParallelExecutor::resolveThreads(
+            static_cast<int>(Config::parseInt("threads", t))));
     const std::string json_path = cfg.getString("export", "");
     const bool measure_trace = cfg.getBool("trace", false);
 
@@ -71,10 +85,11 @@ main(int argc, char **argv)
            std::to_string(ParallelExecutor::hardwareThreads()) + ")");
 
     std::vector<std::string> columns = {"threads", "wall_seconds",
-                                        "sm_cycles", "cycles_per_sec"};
+                                        "sm_cycles", "cycles_per_sec",
+                                        "parallel_for_us"};
     std::vector<std::string> headers = {"threads", "wall s",
                                         "sm cycles", "cycles/s",
-                                        "speedup"};
+                                        "speedup", "parallelFor us"};
     if (measure_trace) {
         columns.insert(columns.end(),
                        {"traced_wall_seconds", "trace_events",
@@ -91,7 +106,7 @@ main(int argc, char **argv)
 
     TablePrinter t(headers);
     double base_cps = 0.0;
-    for (int threads : parseThreadList(threads_csv)) {
+    for (int threads : thread_counts) {
         progress("scaling threads=" + std::to_string(threads));
         ExperimentRunner runner(gcfg, PowerConfig::gtx480(), threads);
 
@@ -107,17 +122,19 @@ main(int argc, char **argv)
                 : 0.0;
         if (base_cps == 0.0)
             base_cps = cps;
+        const double pfor_us = parallelForUs(runner.threads(), gcfg.numSms);
 
         std::vector<ExportCell> cells = {
             ExportCell::integer(runner.threads()),
             ExportCell::num(seconds),
             ExportCell::integer(
                 static_cast<std::int64_t>(r.total.smCycles)),
-            ExportCell::num(cps)};
+            ExportCell::num(cps), ExportCell::num(pfor_us)};
         std::vector<std::string> row = {
             std::to_string(runner.threads()), fmt(seconds, 3),
             std::to_string(r.total.smCycles), fmt(cps, 0),
-            fmt(base_cps > 0.0 ? cps / base_cps : 0.0, 2) + "x"};
+            fmt(base_cps > 0.0 ? cps / base_cps : 0.0, 2) + "x",
+            fmt(pfor_us, 2)};
 
         if (measure_trace) {
             NullTraceSink null_sink;

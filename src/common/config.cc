@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 
 #include "log.hh"
 
@@ -156,13 +157,18 @@ std::int64_t
 Config::getInt(const std::string &key, std::int64_t default_value) const
 {
     auto v = find(key);
-    if (!v)
-        return default_value;
-    try {
-        return std::stoll(*v);
-    } catch (...) {
-        fatal("option '", key, "' has non-integer value '", *v, "'");
-    }
+    return v ? parseInt(key, *v) : default_value;
+}
+
+std::int64_t
+Config::parseInt(const std::string &key, const std::string &text)
+{
+    std::int64_t out = 0;
+    const char *last = text.data() + text.size();
+    const auto [end, ec] = std::from_chars(text.data(), last, out);
+    if (ec != std::errc() || end != last)
+        fatal("option '", key, "' has non-integer value '", text, "'");
+    return out;
 }
 
 double

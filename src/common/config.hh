@@ -68,6 +68,13 @@ class Config
     bool getBool(const std::string &key, bool default_value) const;
 
     /**
+     * @p text as a whole decimal integer; anything else ("two", "4x",
+     * "") fatal()s naming option @p key. getInt parses with this.
+     */
+    static std::int64_t parseInt(const std::string &key,
+                                 const std::string &text);
+
+    /**
      * A comma-separated list (the value, or @p default_value when the
      * key is absent), with empty entries dropped: "a,,b," -> {a, b}.
      */

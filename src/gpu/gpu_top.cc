@@ -236,8 +236,11 @@ GpuTop::configureTenants(const std::vector<TenantSpec> &specs,
 
     for (int i = 0; i < nt; ++i) {
         TenantSpec spec = specs[static_cast<std::size_t>(i)];
-        if (spec.name.empty())
-            spec.name = "t" + std::to_string(i);
+        if (spec.name.empty()) {
+            // Built by append: gcc 12's -Wrestrict misfires on the
+            // inlined copy of "t" + to_string(i).
+            spec.name.assign(1, 't').append(std::to_string(i));
+        }
         if (!(spec.smLimit > 0.0) || spec.smLimit > 1.0)
             fatal("tenant '", spec.name, "': sm_limit must be in (0, 1]"
                   ", got ", spec.smLimit);

@@ -73,8 +73,7 @@ ExperimentRunner::ExperimentRunner(GpuConfig gpu_cfg, PowerConfig power_cfg,
                                    int threads)
     : gpuCfg_(gpu_cfg), powerCfg_(power_cfg)
 {
-    const int n =
-        threads == 0 ? ParallelExecutor::hardwareThreads() : threads;
+    const int n = ParallelExecutor::resolveThreads(threads);
     if (n > 1)
         executor_ = std::make_unique<ParallelExecutor>(n);
 }

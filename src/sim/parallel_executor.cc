@@ -1,17 +1,80 @@
 #include "parallel_executor.hh"
 
-#include <algorithm>
+#include <chrono>
 
 #include "common/log.hh"
 
 namespace equalizer
 {
 
+namespace
+{
+
+/** Tell the CPU this is a spin-wait iteration (a no-op elsewhere). */
+inline void
+cpuRelax()
+{
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__) || defined(__arm__)
+    asm volatile("yield");
+#endif
+}
+
+/**
+ * Wait until done(a) holds and return the value that satisfied it.
+ *
+ * A barrier wait is usually over within a few hundred nanoseconds, far
+ * less than a futex sleep and wake-up, so the waiter polls first: a
+ * short burst of cpuRelax(), then yield() until a bounded window has
+ * passed. Yielding keeps oversubscribed hosts (more pool threads than
+ * cores) moving, because the thread being waited for may need this
+ * core. Only then does the waiter block in atomic::wait, so an idle
+ * pool costs nothing. Whoever changes @p a to a value that may satisfy
+ * a blocked waiter must call notify_one()/notify_all() on it.
+ */
+template <typename T, typename Done>
+T
+pollThenWait(const std::atomic<T> &a, Done done)
+{
+    constexpr int relaxSpins = 64;
+    constexpr auto pollWindow = std::chrono::microseconds(20);
+
+    T v = a.load(std::memory_order_acquire);
+    for (int i = 0; i < relaxSpins && !done(v); ++i) {
+        cpuRelax();
+        v = a.load(std::memory_order_acquire);
+    }
+    if (done(v))
+        return v;
+    const auto deadline = std::chrono::steady_clock::now() + pollWindow;
+    while (!done(v) && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+        v = a.load(std::memory_order_acquire);
+    }
+    while (!done(v)) {
+        a.wait(v, std::memory_order_acquire);
+        v = a.load(std::memory_order_acquire);
+    }
+    return v;
+}
+
+} // namespace
+
 int
 ParallelExecutor::hardwareThreads()
 {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
+}
+
+int
+ParallelExecutor::resolveThreads(int requested)
+{
+    if (requested < 0)
+        fatal("threads= must not be negative, got ", requested,
+              " (1 = serial, 0 = hardware concurrency)");
+    return requested == 0 ? hardwareThreads() : requested;
 }
 
 std::pair<int, int>
@@ -27,7 +90,7 @@ ParallelExecutor::chunkOf(int w, int threads, int n)
 }
 
 ParallelExecutor::ParallelExecutor(int threads)
-    : threads_(threads == 0 ? hardwareThreads() : std::max(1, threads))
+    : threads_(resolveThreads(threads))
 {
     for (int w = 1; w < threads_; ++w)
         workers_.emplace_back([this, w] { workerLoop(w); });
@@ -35,11 +98,9 @@ ParallelExecutor::ParallelExecutor(int threads)
 
 ParallelExecutor::~ParallelExecutor()
 {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stop_.store(true, std::memory_order_relaxed);
-    }
-    wake_.notify_all();
+    stop_.store(true, std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
     for (auto &t : workers_)
         t.join();
 }
@@ -58,18 +119,13 @@ ParallelExecutor::workerLoop(int worker)
 {
     std::uint64_t seen = 0;
     for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            wake_.wait(lock, [this, seen] {
-                return stop_.load(std::memory_order_relaxed) ||
-                       epoch_.load(std::memory_order_acquire) != seen;
-            });
-            if (stop_.load(std::memory_order_relaxed))
-                return;
-            seen = epoch_.load(std::memory_order_acquire);
-        }
+        const auto next = [seen](std::uint64_t e) { return e != seen; };
+        seen = pollThenWait(epoch_, next);
+        if (stop_.load(std::memory_order_relaxed))
+            return;
         runChunk(worker, n_, *fn_);
-        remaining_.fetch_sub(1, std::memory_order_release);
+        if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1)
+            remaining_.notify_one();
     }
 }
 
@@ -86,25 +142,16 @@ ParallelExecutor::parallelFor(int n, const std::function<void(int)> &fn)
 
     EQ_ASSERT(remaining_.load(std::memory_order_relaxed) == 0,
               "parallelFor is not reentrant");
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        fn_ = &fn;
-        n_ = n;
-        remaining_.store(threads_ - 1, std::memory_order_relaxed);
-        epoch_.fetch_add(1, std::memory_order_release);
-    }
-    wake_.notify_all();
+    fn_ = &fn;
+    n_ = n;
+    remaining_.store(threads_ - 1, std::memory_order_relaxed);
+    epoch_.fetch_add(1, std::memory_order_release);
+    epoch_.notify_all();
 
     runChunk(0, n, fn); // the caller is worker 0
 
-    // Epoch barrier: spin briefly (workers usually finish within the
-    // cost of a context switch), then yield so oversubscribed or
-    // single-core hosts make progress instead of burning the quantum.
-    int spins = 0;
-    while (remaining_.load(std::memory_order_acquire) != 0) {
-        if (++spins > 256)
-            std::this_thread::yield();
-    }
+    // Epoch barrier: the last worker to finish notifies remaining_.
+    pollThenWait(remaining_, [](int left) { return left == 0; });
     fn_ = nullptr;
 }
 

@@ -16,10 +16,8 @@
 #define EQ_SIM_PARALLEL_EXECUTOR_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -42,7 +40,7 @@ namespace equalizer
 class ParallelExecutor
 {
   public:
-    /** @param threads Pool size; 0 selects hardwareThreads(). */
+    /** @param threads Pool size; see resolveThreads(). */
     explicit ParallelExecutor(int threads = 0);
     ~ParallelExecutor();
 
@@ -61,6 +59,12 @@ class ParallelExecutor
     /** std::thread::hardware_concurrency with a floor of 1. */
     static int hardwareThreads();
 
+    /**
+     * The pool size a threads= request means: 0 selects
+     * hardwareThreads(), a negative count is a fatal() user error.
+     */
+    static int resolveThreads(int requested);
+
     /** Chunk [begin, end) of worker @p w under the static partition. */
     static std::pair<int, int> chunkOf(int w, int threads, int n);
 
@@ -71,15 +75,15 @@ class ParallelExecutor
     int threads_;
     std::vector<std::thread> workers_;
 
-    // Dispatch state: fn_/n_ are published by the epoch_ increment
-    // (release) and read by workers after observing it (acquire).
+    // Dispatch state: fn_/n_/remaining_/stop_ are published by the
+    // epoch_ increment (release) and read by workers after observing it
+    // (acquire). Workers wait on epoch_ and the caller on remaining_,
+    // each polling briefly before blocking in atomic::wait.
     const std::function<void(int)> *fn_ = nullptr;
     int n_ = 0;
     std::atomic<std::uint64_t> epoch_{0};
     std::atomic<int> remaining_{0};
     std::atomic<bool> stop_{false};
-    std::mutex mutex_;
-    std::condition_variable wake_;
 };
 
 } // namespace equalizer

@@ -125,6 +125,18 @@ TEST(ConfigDeath, NonIntegerValueIsFatal)
                 "non-integer");
 }
 
+TEST(ConfigDeath, TrailingGarbageAfterIntegerIsFatal)
+{
+    Config cfg;
+    cfg.set("k", "4x");
+    EXPECT_EXIT(cfg.getInt("k", 0), ::testing::ExitedWithCode(1),
+                "option 'k' has non-integer value '4x'");
+    EXPECT_EXIT(Config::parseInt("threads", "two"),
+                ::testing::ExitedWithCode(1),
+                "option 'threads' has non-integer value 'two'");
+    EXPECT_EQ(Config::parseInt("threads", "-3"), -3);
+}
+
 TEST(Config, GetListSplitsOnCommasAndDropsEmptyEntries)
 {
     Config cfg;

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
 
 #include "gpu/gpu_top.hh"
@@ -86,6 +88,94 @@ TEST(ParallelExecutor, SingleThreadRunsInline)
 TEST(ParallelExecutor, HardwareThreadsIsPositive)
 {
     EXPECT_GE(ParallelExecutor::hardwareThreads(), 1);
+}
+
+TEST(ParallelExecutorDeath, NegativeThreadCountIsFatal)
+{
+    EXPECT_EQ(ParallelExecutor::resolveThreads(0),
+              ParallelExecutor::hardwareThreads());
+    EXPECT_EQ(ParallelExecutor::resolveThreads(3), 3);
+    EXPECT_EXIT(ParallelExecutor::resolveThreads(-2),
+                ::testing::ExitedWithCode(1),
+                "threads= must not be negative, got -2");
+}
+
+// --- ParallelExecutor lifecycle: poll, block, wake, stop ----------------
+
+/** Far longer than the executor's polling window (tens of µs). */
+constexpr auto idleGap = std::chrono::milliseconds(30);
+
+/** parallelFor(n) on @p exec, expecting each index to run exactly once. */
+void
+expectEachIndexOnce(ParallelExecutor &exec, int n)
+{
+    std::vector<int> hits(static_cast<std::size_t>(n), 0);
+    exec.parallelFor(n, [&hits](int i) {
+        ++hits[static_cast<std::size_t>(i)];
+    });
+    for (int i = 0; i < n; ++i)
+        EXPECT_EQ(hits[static_cast<std::size_t>(i)], 1) << "index " << i;
+}
+
+TEST(ParallelExecutor, WakesWorkersBlockedAcrossAnIdleGap)
+{
+    ParallelExecutor exec(4);
+    for (int round = 0; round < 3; ++round) {
+        // The workers outlast their polling window and block in
+        // atomic::wait; the next epoch must still reach them.
+        std::this_thread::sleep_for(idleGap);
+        expectEachIndexOnce(exec, 15);
+    }
+    EXPECT_EQ(exec.epochsDispatched(), 3u);
+}
+
+TEST(ParallelExecutor, DestroysWhileWorkersAreBlocked)
+{
+    {
+        ParallelExecutor never_used(4);
+        std::this_thread::sleep_for(idleGap);
+    }
+    {
+        ParallelExecutor exec(4);
+        expectEachIndexOnce(exec, 15);
+        std::this_thread::sleep_for(idleGap);
+    }
+}
+
+TEST(ParallelExecutor, DestroysRightAfterAnEpochWhileWorkersPoll)
+{
+    for (int round = 0; round < 200; ++round) {
+        ParallelExecutor exec(4);
+        expectEachIndexOnce(exec, 15);
+    }
+}
+
+TEST(ParallelExecutor, FewerItemsThanThreadsLeavesChunksEmpty)
+{
+    ParallelExecutor exec(8);
+    for (int n : {1, 2, 3, 7, 8, 9})
+        expectEachIndexOnce(exec, n);
+    // n = 1 runs inline; the other five sizes are epochs.
+    EXPECT_EQ(exec.epochsDispatched(), 5u);
+}
+
+TEST(ParallelExecutor, OversubscribedPoolHitsEveryIndexEachEpoch)
+{
+    // More pool threads than cores: waiters must yield, or the workers
+    // they wait on never get a core.
+    ParallelExecutor exec(4 * ParallelExecutor::hardwareThreads());
+    const int n = 15;
+    const int epochs = 2000;
+    // Plain ints: each epoch's barrier orders one worker's writes
+    // before the next epoch's, whichever worker owns an index.
+    std::vector<int> hits(n, 0);
+    for (int e = 0; e < epochs; ++e)
+        exec.parallelFor(n, [&hits](int i) {
+            ++hits[static_cast<std::size_t>(i)];
+        });
+    for (int i = 0; i < n; ++i)
+        EXPECT_EQ(hits[static_cast<std::size_t>(i)], epochs)
+            << "index " << i;
 }
 
 // --- Bit-exact determinism against the serial oracle ------------------
