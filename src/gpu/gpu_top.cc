@@ -701,19 +701,17 @@ GpuTop::visitState(StateVisitor &v, ControllerMismatch on_mismatch)
     // v2: tenants and first-class invocations replace the former
     // device-global work-distribution cursor, so a checkpoint taken
     // mid-co-run carries every in-flight grid (docs/MULTI_TENANT.md).
-    std::uint64_t n_tenants = tenants_.size();
-    v.field(n_tenants);
+    const std::size_t n_tenants =
+        v.count(tenants_.size(), minSectionBytes);
     if (!v.saving())
-        tenants_.assign(static_cast<std::size_t>(n_tenants), Tenant{});
+        tenants_.assign(n_tenants, Tenant{});
     for (auto &t : tenants_)
         t.visitState(v);
     v.field(explicitTenants_);
 
-    std::uint64_t n_inv = invocations_.size();
-    v.field(n_inv);
+    const std::size_t n_inv = v.count(invocations_.size(), minSectionBytes);
     if (!v.saving())
-        invocations_.assign(static_cast<std::size_t>(n_inv),
-                            KernelInvocation{});
+        invocations_.assign(n_inv, KernelInvocation{});
     for (auto &inv : invocations_)
         inv.visitState(v);
 

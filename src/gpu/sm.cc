@@ -41,7 +41,7 @@ StreamingMultiprocessor::setKernel(const KernelLaunch *kernel)
     l1_.flush();
     lsu_.reset();
     debugStallWakeup_.reset();
-    invalidateStallCache();
+    stalledUntil_ = 0;
 }
 
 int
@@ -113,7 +113,7 @@ StreamingMultiprocessor::assignBlock(BlockId block)
         w.stream = kernel_->makeWarpStream(block, wib);
         warpRetiredCounted_[static_cast<std::size_t>(wid)] = false;
     }
-    invalidateStallCache();
+    stalledUntil_ = 0;
 }
 
 void
@@ -121,7 +121,7 @@ StreamingMultiprocessor::setTargetBlocks(int target)
 {
     targetBlocks_ = std::clamp(target, 1, blockSlots_);
     applyPauseState();
-    invalidateStallCache();
+    stalledUntil_ = 0;
 }
 
 void
@@ -230,9 +230,10 @@ StreamingMultiprocessor::handleRetirement(WarpId wid)
         onBlockComplete_(id_, finished);
 }
 
-void
+bool
 StreamingMultiprocessor::releaseBarriers()
 {
+    bool released = false;
     for (int s = 0; s < blockSlots_; ++s) {
         const auto &bs = blocks_[static_cast<std::size_t>(s)];
         if (!bs.occupied || bs.paused)
@@ -261,10 +262,12 @@ StreamingMultiprocessor::releaseBarriers()
                 w.hasInst = false; // consume the Sync instruction
             }
         }
+        released = true;
     }
+    return released;
 }
 
-void
+Cycle
 StreamingMultiprocessor::schedulePass()
 {
     const int n = static_cast<int>(warps_.size());
@@ -276,20 +279,19 @@ StreamingMultiprocessor::schedulePass()
                           ? greedyWarp_
                           : rrStart_;
     int first_issued = -1;
+    bool freed_block = false;
+    Cycle wakeup = noWakeup;
 
     for (int i = 0; i < n; ++i) {
         const int wid = (start + i) % n;
         auto &w = warps_[static_cast<std::size_t>(wid)];
 
         if (!w.active) {
-            w.outcome = WarpOutcome::Unaccounted;
             ++counts.unaccounted;
             continue;
         }
-        if (w.paused) {
-            w.outcome = WarpOutcome::Paused;
+        if (w.paused)
             continue;
-        }
         if (!w.hasInst && !w.streamDone && !w.atBarrier)
             refillInstruction(w);
 
@@ -297,22 +299,18 @@ StreamingMultiprocessor::schedulePass()
             handleRetirement(wid);
             // handleRetirement may have freed the whole block slot.
             if (!w.active) {
-                w.outcome = WarpOutcome::Unaccounted;
+                freed_block = true;
                 ++counts.unaccounted;
                 continue;
             }
             if (w.pendingLoads > 0) {
-                w.outcome = WarpOutcome::Waiting;
                 ++counts.active;
                 ++counts.waiting;
-            } else {
-                w.outcome = WarpOutcome::Done;
             }
             continue;
         }
 
         if (w.atBarrier) {
-            w.outcome = WarpOutcome::Barrier;
             ++counts.active;
             ++counts.barrier;
             continue;
@@ -323,7 +321,6 @@ StreamingMultiprocessor::schedulePass()
 
         if (w.inst.op == OpClass::Sync) {
             w.atBarrier = true;
-            w.outcome = WarpOutcome::Barrier;
             ++counts.barrier;
             continue;
         }
@@ -333,7 +330,10 @@ StreamingMultiprocessor::schedulePass()
         const bool result_stall =
             w.inst.dependsOnPrev && cycle_ < w.readyAt;
         if (load_stall || result_stall) {
-            w.outcome = WarpOutcome::Waiting;
+            // Load returns are memory events; a result stall ends at
+            // readyAt.
+            if (!load_stall)
+                wakeup = std::min(wakeup, w.readyAt);
             ++counts.waiting;
             continue;
         }
@@ -341,7 +341,6 @@ StreamingMultiprocessor::schedulePass()
         if (w.inst.op == OpClass::Mem) {
             if (memIssueFilter_ && !memIssueFilter_(wid)) {
                 // CCWS-style throttle: held back, not pipe pressure.
-                w.outcome = WarpOutcome::Waiting;
                 ++counts.waiting;
                 continue;
             }
@@ -352,7 +351,6 @@ StreamingMultiprocessor::schedulePass()
                 w.hasInst = false;
                 w.lastIssueCycle = cycle_;
                 w.lastResultLatency = 1;
-                w.outcome = WarpOutcome::Issued;
                 ++counts.issued;
                 ++issued_;
                 --slots;
@@ -363,7 +361,6 @@ StreamingMultiprocessor::schedulePass()
                 energy_.record(id_, EnergyEvent::SmLsuOp);
                 energy_.record(id_, EnergyEvent::SmRegAccess, 2);
             } else {
-                w.outcome = WarpOutcome::ExcessMem;
                 ++counts.excessMem;
             }
             continue;
@@ -381,7 +378,6 @@ StreamingMultiprocessor::schedulePass()
                 w.lastResultLatency =
                     cfg_.smemLatency +
                     static_cast<Cycle>(w.inst.conflictWays) - 1;
-                w.outcome = WarpOutcome::Issued;
                 ++counts.issued;
                 ++issued_;
                 --slots;
@@ -394,7 +390,8 @@ StreamingMultiprocessor::schedulePass()
                                    w.inst.conflictWays));
                 energy_.record(id_, EnergyEvent::SmRegAccess, 2);
             } else {
-                w.outcome = WarpOutcome::ExcessAlu;
+                if (cycle_ < smemBusyUntil_)
+                    wakeup = std::min(wakeup, smemBusyUntil_);
                 ++counts.excessAlu;
             }
             continue;
@@ -413,7 +410,6 @@ StreamingMultiprocessor::schedulePass()
             const Cycle jitter =
                 (static_cast<Cycle>(wid) * 7 + cycle_) % 5;
             w.lastResultLatency = base + jitter - 2;
-            w.outcome = WarpOutcome::Issued;
             ++counts.issued;
             ++issued_;
             --slots;
@@ -430,7 +426,6 @@ StreamingMultiprocessor::schedulePass()
                                      warpLanes);
             energy_.record(id_, EnergyEvent::SmRegAccess, 3);
         } else {
-            w.outcome = WarpOutcome::ExcessAlu;
             ++counts.excessAlu;
         }
     }
@@ -443,17 +438,33 @@ StreamingMultiprocessor::schedulePass()
 
     outcomeTotals_ += counts;
     lastCounts_ = counts;
+    return counts.issued > 0 || freed_block ? 0 : wakeup;
 }
 
 void
 StreamingMultiprocessor::tick(Cycle mem_now)
 {
-    // Per-SM fast tick (docs/FAST_PATH.md): replay a memoized stalled
-    // cycle in O(1) instead of re-scanning every warp. Decisions are
-    // SM-local (plus this SM's response-queue head, stable during the
-    // parallel phase), so results are identical at any threads= count.
-    if (cfg_.fastPath && tryFastTick(mem_now))
+    // Fast tick (docs/FAST_PATH.md): while the last full tick's stall
+    // verdict stands, this cycle's pass would repeat that one, so only
+    // its bookkeeping is replayed. Decisions are SM-local (plus this
+    // SM's response-queue head, stable during the parallel phase), so
+    // results are identical at any threads= count. The memory system
+    // keeps running between SM ticks, so a matured response or an LSU
+    // head that could now move ends the verdict's span early.
+    if (cfg_.fastPath && cycle_ + 1 < stalledUntil_ &&
+        !memSystem_.hasDrainableResponse(id_, mem_now) &&
+        lsu_.wouldIdle()) {
+        ++cycle_;
+        lsu_.skipCycles(1); // beginCycle() plus the blocked-head retry
+        const int nw = static_cast<int>(warps_.size());
+        if (nw > 0)
+            rrStart_ = (rrStart_ + 1) % nw;
+        // greedyWarp_ and smemBusyUntil_ only move when something issues.
+        outcomeTotals_ += lastCounts_;
+        if (residentBlocks() > 0)
+            ++activeCycles_;
         return;
+    }
 
     ++cycle_;
     lsu_.beginCycle();
@@ -483,157 +494,26 @@ StreamingMultiprocessor::tick(Cycle mem_now)
     }
 
     // 3. Scheduling / issue.
-    schedulePass();
+    const Cycle pass_wakeup = schedulePass();
 
     // 4. LSU transaction processing.
     lsu_.tick(cycle_);
 
     // 5. Barrier release.
-    releaseBarriers();
+    const bool released = releaseBarriers();
+
+    // The stall verdict: the pass stands for every later cycle before
+    // its wakeup unless what ran after it can change the next pass — a
+    // released barrier, or an LSU queue with room for an X_mem warp —
+    // or an external gate may flip any cycle.
+    const bool void_verdict =
+        released || memIssueFilter_ || debugStallWakeup_ ||
+        (lastCounts_.excessMem > 0 && !lsu_.queueFull());
+    stalledUntil_ =
+        void_verdict ? 0 : std::min(pass_wakeup, lsu_.nextHitWakeup());
 
     if (residentBlocks() > 0)
         ++activeCycles_;
-}
-
-bool
-StreamingMultiprocessor::tryFastTick(Cycle mem_now)
-{
-    if (!stallCache_.valid) {
-        // Lazy build; the gates mirror checkStalled().
-        if (debugStallWakeup_ || memIssueFilter_ ||
-            lastCounts_.issued > 0 || !lsu_.wouldIdle())
-            return false;
-
-        Cycle wakeup = lsu_.nextHitWakeup();
-        WarpStateCounts counts;
-        const int nw = static_cast<int>(warps_.size());
-        for (WarpId wid = 0; wid < nw; ++wid) {
-            const auto outcome = stalledOutcome(wid, counts, wakeup);
-            if (!outcome)
-                return false;
-            // Freeze the outcome for the span; constant until the
-            // cache is invalidated (same uniformity argument as
-            // skipCycles()). Harmless if we bail below — the slow
-            // pass overwrites every outcome.
-            warps_[static_cast<std::size_t>(wid)].outcome = *outcome;
-        }
-        stallCache_.valid = true;
-        stallCache_.wakeup = wakeup;
-        stallCache_.counts = counts;
-    }
-
-    // Per-cycle revalidation, all O(1): the wakeup cycle itself must
-    // run the full tick, as must any cycle where a matured response
-    // awaits draining or the LSU head could move — the memory system
-    // keeps running between SM ticks (unlike under the whole-device
-    // fast path, which freezes it), so a head blocked on downstream
-    // queue room can unblock on any memory tick.
-    if (cycle_ + 1 >= stallCache_.wakeup) {
-        invalidateStallCache();
-        return false;
-    }
-    if (memSystem_.hasDrainableResponse(id_, mem_now)) {
-        invalidateStallCache();
-        return false;
-    }
-    if (!lsu_.wouldIdle()) {
-        invalidateStallCache();
-        return false;
-    }
-
-    ++cycle_;
-    lsu_.skipCycles(1); // beginCycle() plus the blocked-head retry
-    const int nw = static_cast<int>(warps_.size());
-    if (nw > 0)
-        rrStart_ = (rrStart_ + 1) % nw;
-    // greedyWarp_ and smemBusyUntil_ only move when something issues.
-    outcomeTotals_ += stallCache_.counts;
-    lastCounts_ = stallCache_.counts;
-    if (residentBlocks() > 0)
-        ++activeCycles_;
-    return true;
-}
-
-std::optional<WarpOutcome>
-StreamingMultiprocessor::stalledOutcome(WarpId wid, WarpStateCounts &counts,
-                                        Cycle &wakeup) const
-{
-    const auto &w = warps_[static_cast<std::size_t>(wid)];
-    const Cycle c1 = cycle_ + 1; // the cycle being probed
-
-    if (!w.active) {
-        ++counts.unaccounted;
-        return WarpOutcome::Unaccounted;
-    }
-    if (w.paused)
-        return WarpOutcome::Paused;
-    if (!w.hasInst && !w.streamDone && !w.atBarrier)
-        return std::nullopt; // needs an instruction refill
-
-    if (w.streamDone) {
-        if (w.pendingLoads > 0) {
-            // Retirement blocked on outstanding loads; their return is
-            // a memory-system event, which bounds the span elsewhere.
-            ++counts.active;
-            ++counts.waiting;
-            return WarpOutcome::Waiting;
-        }
-        if (!warpRetiredCounted_[static_cast<std::size_t>(wid)])
-            return std::nullopt; // would retire (and maybe free a block)
-        return WarpOutcome::Done;
-    }
-
-    if (w.atBarrier) {
-        // Barrier release needs other warps to park or retire — both
-        // vetoed for the whole SM — so the warp stays put all span.
-        ++counts.active;
-        ++counts.barrier;
-        return WarpOutcome::Barrier;
-    }
-
-    if (w.inst.op == OpClass::Sync)
-        return std::nullopt; // would park at the barrier (a mutation)
-
-    const bool load_stall = w.inst.dependsOnLoads && w.pendingLoads > 0;
-    if (load_stall) {
-        ++counts.active;
-        ++counts.waiting;
-        return WarpOutcome::Waiting; // memory events bound the span
-    }
-    if (w.inst.dependsOnPrev && c1 < w.readyAt) {
-        ++counts.active;
-        ++counts.waiting;
-        wakeup = std::min(wakeup, w.readyAt);
-        return WarpOutcome::Waiting;
-    }
-
-    // The warp is ready. In a fully-stalled pass nothing else issues,
-    // so it sees the full issue-slot and register-port budgets; if even
-    // those would let it through, the SM is not skippable.
-    if (w.inst.op == OpClass::Mem) {
-        if (cfg_.issueWidth > 0 && cfg_.regReadPorts >= 2 &&
-            !lsu_.queueFull())
-            return std::nullopt; // would issue into the LSU
-        ++counts.active;
-        ++counts.excessMem;
-        return WarpOutcome::ExcessMem;
-    }
-    if (w.inst.op == OpClass::Shared) {
-        if (cfg_.issueWidth > 0 && cfg_.regReadPorts >= 2) {
-            if (c1 >= smemBusyUntil_)
-                return std::nullopt; // shared-memory pipe is free
-            wakeup = std::min(wakeup, smemBusyUntil_);
-        }
-        ++counts.active;
-        ++counts.excessAlu;
-        return WarpOutcome::ExcessAlu;
-    }
-    // Arithmetic (ALU or SFU).
-    if (cfg_.issueWidth > 0 && cfg_.regReadPorts >= 3)
-        return std::nullopt; // nothing stops an arithmetic issue
-    ++counts.active;
-    ++counts.excessAlu;
-    return WarpOutcome::ExcessAlu;
 }
 
 StreamingMultiprocessor::StallCheck
@@ -641,35 +521,11 @@ StreamingMultiprocessor::checkStalled() const
 {
     if (debugStallWakeup_)
         return StallCheck{true, *debugStallWakeup_};
-    StallCheck res;
-    if (stallCache_.valid) {
-        // The memoized verdict is maintained by invalidation (external
-        // mutations) and by tick()'s per-cycle revalidation, so it
-        // answers the whole-device probe in O(1) — except that memory
-        // ticks since the last SM tick may have freed downstream queue
-        // room, so the LSU idleness must be re-probed fresh.
-        if (!lsu_.wouldIdle())
-            return res;
-        res.skippable = true;
-        res.wakeup = stallCache_.wakeup;
-        return res;
-    }
-    if (memIssueFilter_)
-        return res; // external gate may flip any cycle: never skip
-    if (lastCounts_.issued > 0)
-        return res; // an issued warp needs a refill next cycle
-    if (!lsu_.wouldIdle())
-        return res; // the LSU head would move a transaction
-
-    Cycle wakeup = lsu_.nextHitWakeup();
-    WarpStateCounts counts;
-    const int n = static_cast<int>(warps_.size());
-    for (WarpId wid = 0; wid < n; ++wid)
-        if (!stalledOutcome(wid, counts, wakeup))
-            return res;
-    res.skippable = true;
-    res.wakeup = wakeup;
-    return res;
+    // Memory ticks since the last SM tick may have freed downstream
+    // queue room, so the LSU idleness is re-probed fresh.
+    if (stalledUntil_ == 0 || !lsu_.wouldIdle())
+        return StallCheck{};
+    return StallCheck{true, stalledUntil_};
 }
 
 void
@@ -677,26 +533,19 @@ StreamingMultiprocessor::skipCycles(Cycle n)
 {
     if (n == 0)
         return;
-
-    WarpStateCounts counts;
-    Cycle unused = noWakeup;
-    const int nw = static_cast<int>(warps_.size());
-    for (WarpId wid = 0; wid < nw; ++wid) {
-        const auto outcome = stalledOutcome(wid, counts, unused);
-        EQ_ASSERT(outcome.has_value(),
-                  "skipCycles() on SM ", id_, " with unstalled warp ", wid);
-        warps_[static_cast<std::size_t>(wid)].outcome = *outcome;
-    }
+    EQ_ASSERT(debugStallWakeup_ || cycle_ + n < stalledUntil_,
+              "skipCycles(", n, ") on SM ", id_, " at cycle ", cycle_,
+              " outlives its stall verdict (", stalledUntil_, ")");
 
     cycle_ += n;
     lsu_.skipCycles(n); // covers beginCycle() and the blocked-head retry
+    const int nw = static_cast<int>(warps_.size());
     if (nw > 0)
         rrStart_ = static_cast<int>((static_cast<Cycle>(rrStart_) + n) %
                                     static_cast<Cycle>(nw));
     // greedyWarp_ only moves when something issues; smemBusyUntil_ only
     // when a Shared op issues — both are untouched by a stalled span.
-    outcomeTotals_.addScaled(counts, static_cast<std::int64_t>(n));
-    lastCounts_ = counts;
+    outcomeTotals_.addScaled(lastCounts_, static_cast<std::int64_t>(n));
     if (residentBlocks() > 0)
         activeCycles_ += n;
 }
@@ -719,7 +568,8 @@ StreamingMultiprocessor::resetStats()
 void
 StreamingMultiprocessor::visitState(StateVisitor &v)
 {
-    v.beginSection("sm", 1);
+    // v2: warp slots no longer carry a per-cycle outcome.
+    v.beginSection("sm", 2);
     v.expectMatch(id_, "SM id");
     v.field(warpsPerBlock_);
     v.field(blockSlots_);
@@ -739,9 +589,10 @@ StreamingMultiprocessor::visitState(StateVisitor &v)
     v.field(lastCounts_);
     v.field(l1_);
     v.field(lsu_);
-    if (!v.saving())
+    if (!v.saving()) {
         kernel_ = nullptr; // rebindKernel() must follow for mid-kernel
-    invalidateStallCache();
+        stalledUntil_ = 0;
+    }
     v.endSection();
 }
 

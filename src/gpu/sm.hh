@@ -31,10 +31,13 @@ namespace equalizer
  *
  * Warp slots are grouped into block slots of W_cta consecutive warps.
  * Each SM cycle: memory responses are drained, the warp scheduler makes
- * a dual-issue pass (recording every warp's WarpOutcome — the substrate
- * of Equalizer's counters), and the LSU pushes transactions toward the
- * L1/memory system. CTA pausing masks whole block slots out of both
- * scheduling and the counters, per paper Section IV.
+ * a dual-issue pass (classifying every warp into the cycle's
+ * WarpStateCounts — the substrate of Equalizer's counters), and the LSU
+ * pushes transactions toward the L1/memory system. CTA pausing masks
+ * whole block slots out of both scheduling and the counters, per paper
+ * Section IV. The pass is the only warp classifier: when it changes
+ * nothing, its counts become the SM's stall verdict, which the fast
+ * path replays (docs/FAST_PATH.md).
  */
 class StreamingMultiprocessor
 {
@@ -114,19 +117,20 @@ class StreamingMultiprocessor
 
     /**
      * Whether the next tick would provably change nothing except the
-     * per-cycle bookkeeping that skipCycles() replays. Conservative:
-     * any warp that might issue, refill, retire or park — or an LSU
-     * head that would move a transaction, or an installed mem-issue
-     * filter — reports not-skippable. Pure probe.
+     * per-cycle bookkeeping that skipCycles() replays: answered from
+     * the stall verdict of the last full tick alone, plus a fresh probe
+     * of the LSU head. An SM without a verdict — after any external
+     * mutation — reports not-skippable until one full tick has run.
+     * Pure probe.
      */
     StallCheck checkStalled() const;
 
     /**
      * Replay @p n fully-stalled ticks: cycle count, scheduler rotation,
-     * warp outcomes and their per-cycle counter accumulation, LSU
-     * blocked-head bookkeeping and active-cycle accounting. Only valid
-     * when checkStalled() reported skippable and every replayed cycle
-     * is strictly below its wakeup (and any memory-side bound).
+     * the verdict's per-cycle counter accumulation, LSU blocked-head
+     * bookkeeping and active-cycle accounting. Only valid when
+     * checkStalled() reported skippable and every replayed cycle is
+     * strictly below its wakeup (and any memory-side bound).
      */
     void skipCycles(Cycle n);
 
@@ -140,7 +144,7 @@ class StreamingMultiprocessor
     debugSetStallWakeup(Cycle wakeup)
     {
         debugStallWakeup_ = wakeup;
-        invalidateStallCache();
+        stalledUntil_ = 0;
     }
 
     /** No resident blocks. */
@@ -163,7 +167,7 @@ class StreamingMultiprocessor
     void setMemIssueFilter(MemIssueFilter filter)
     {
         memIssueFilter_ = std::move(filter);
-        invalidateStallCache();
+        stalledUntil_ = 0;
     }
 
     /**
@@ -218,33 +222,23 @@ class StreamingMultiprocessor
     /** Warp range of a block slot. */
     int firstWarpOf(int slot) const { return slot * warpsPerBlock_; }
 
-    void schedulePass();
-
     /**
-     * The outcome a fully-stalled schedulePass() would record for warp
-     * @p wid next cycle (accumulating its counter contribution into
-     * @p counts and lowering @p wakeup when the stall has a known
-     * SM-local release cycle), or nullopt when the warp might make
-     * progress — issue, refill, retire or park at a barrier.
+     * The dual-issue pass: refill, retire, park, classify and issue
+     * every warp, recording the cycle's counts in lastCounts_. Returns
+     * the earliest cycle at which an SM-local event (a result latency
+     * elapsing, the shared-memory pipe draining) could change a warp's
+     * classification, or 0 when the pass issued or freed a block slot.
      */
-    std::optional<WarpOutcome> stalledOutcome(WarpId wid,
-                                              WarpStateCounts &counts,
-                                              Cycle &wakeup) const;
+    Cycle schedulePass();
 
     void refillInstruction(WarpSlot &w);
     void handleRetirement(WarpId wid);
-    void releaseBarriers();
-    void applyPauseState();
-
     /**
-     * Replay one memoized stalled cycle in O(1) instead of running the
-     * full tick (docs/FAST_PATH.md). Returns false — leaving all state
-     * untouched — when the cache is invalid, the wakeup cycle arrived,
-     * or a matured memory response awaits draining.
+     * Release each barrier that every live warp of its block reached;
+     * true when any was released.
      */
-    bool tryFastTick(Cycle mem_now);
-
-    void invalidateStallCache() { stallCache_.valid = false; }
+    bool releaseBarriers();
+    void applyPauseState();
 
     const GpuConfig &cfg_;
     SmId id_;
@@ -278,20 +272,15 @@ class StreamingMultiprocessor
     std::optional<Cycle> debugStallWakeup_;
 
     /**
-     * Memoized stall verdict backing the O(1) fast tick
-     * (docs/FAST_PATH.md). While valid, every warp's outcome is frozen
-     * at the cached counts and the cached wakeup bounds the span; any
-     * external mutation that could unstall a warp (block assignment,
-     * target changes, policy hooks, restores) must invalidate it.
-     * Deliberately not serialized: pure memoization, rebuilt lazily.
+     * The stall verdict (docs/FAST_PATH.md): the last full tick's pass
+     * changed nothing, so every cycle before this one repeats its
+     * lastCounts_, as long as no memory response matures and the LSU
+     * head stays blocked; 0 for no verdict. Every external mutation
+     * that could unstall a warp (block assignment, target changes,
+     * policy hooks, restores) clears it. Not serialized: a restored SM
+     * runs one full tick first.
      */
-    struct StallCache
-    {
-        bool valid = false;
-        Cycle wakeup = noWakeup;
-        WarpStateCounts counts;
-    };
-    StallCache stallCache_;
+    Cycle stalledUntil_ = 0;
 
     std::uint64_t issued_ = 0;
     std::uint64_t activeCycles_ = 0;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-warp execution context and the warp-state taxonomy of the paper.
+ * Per-warp execution context: one warp slot of an SM.
  */
 
 #ifndef EQ_GPU_WARP_HH
@@ -15,22 +15,6 @@
 
 namespace equalizer
 {
-
-/**
- * Scheduling outcome of a warp in a cycle — the observable the paper's
- * four counters are built from (Section III-A).
- */
-enum class WarpOutcome
-{
-    Unaccounted, ///< no valid instruction-buffer entry (or slot empty)
-    Paused,      ///< CTA-paused: excluded from scheduling and counters
-    Waiting,     ///< operands not ready (scoreboard)
-    Issued,      ///< issued an instruction this cycle
-    ExcessAlu,   ///< ready for the arithmetic pipe, no issue slot (X_alu)
-    ExcessMem,   ///< ready for the LD/ST pipe, blocked (X_mem)
-    Barrier,     ///< waiting on a block-wide barrier ("Others")
-    Done,        ///< retired
-};
 
 /** One warp slot of an SM. */
 struct WarpSlot
@@ -61,9 +45,6 @@ struct WarpSlot
      */
     std::uint64_t fetched = 0;
 
-    /// Outcome of the most recent scheduling pass (sampled by Equalizer).
-    WarpOutcome outcome = WarpOutcome::Unaccounted;
-
     /** Fully retired: program finished and all loads returned. */
     bool
     retired() const
@@ -89,7 +70,6 @@ struct WarpSlot
         atBarrier = false;
         streamDone = false;
         fetched = 0;
-        outcome = WarpOutcome::Unaccounted;
     }
 
     /**
@@ -113,7 +93,6 @@ struct WarpSlot
         v.field(atBarrier);
         v.field(streamDone);
         v.field(fetched);
-        v.field(outcome);
         if (!v.saving())
             stream.reset(); // rebuilt by Sm::rebindKernel()
     }

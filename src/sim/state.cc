@@ -121,8 +121,7 @@ BufferStateWriter::beginSection(const char *tag, std::uint32_t version)
     putU32(version);
     const std::size_t length_offset = buf_.size();
     putU64(0); // payload length, backpatched in endSection()
-    frames_.push_back(
-        Frame{std::string(tag), version, length_offset, buf_.size()});
+    frames_.push_back(Frame{std::string(tag), length_offset, buf_.size()});
 }
 
 void
@@ -136,13 +135,6 @@ BufferStateWriter::endSection()
                 sizeof(payload_len));
     putU64(fnv1a(buf_.data() + frame.payloadStart,
                  static_cast<std::size_t>(payload_len)));
-}
-
-std::uint32_t
-BufferStateWriter::sectionVersion() const
-{
-    EQ_ASSERT(!frames_.empty(), "sectionVersion() outside a section");
-    return frames_.back().version;
 }
 
 void
@@ -226,10 +218,9 @@ BufferStateReader::beginSection(const char *tag, std::uint32_t version)
         fatal("checkpoint section mismatch: expected '", tag, "', found '",
               stored, "'");
     const std::uint32_t stored_version = getU32();
-    if (stored_version > version)
+    if (stored_version != version)
         fatal("checkpoint section '", tag, "' has version ",
-              stored_version, ", newer than this build supports (",
-              version, ")");
+              stored_version, ", but this build reads version ", version);
     const std::uint64_t payload_len = getU64();
     const std::size_t payload_start = pos_;
     const std::size_t payload_end =
@@ -238,9 +229,7 @@ BufferStateReader::beginSection(const char *tag, std::uint32_t version)
         frames_.empty() ? buf_.size() : frames_.back().payloadEnd;
     if (payload_end + sizeof(std::uint64_t) > limit)
         fatal("checkpoint truncated inside section '", tag, "'");
-    frames_.push_back(
-        Frame{std::move(stored), stored_version, payload_start,
-              payload_end});
+    frames_.push_back(Frame{std::move(stored), payload_start, payload_end});
 }
 
 void
@@ -261,19 +250,24 @@ BufferStateReader::endSection()
               "' failed its checksum — file corrupt");
 }
 
-std::uint32_t
-BufferStateReader::sectionVersion() const
-{
-    EQ_ASSERT(!frames_.empty(), "sectionVersion() outside a section");
-    return frames_.back().version;
-}
-
 void
 BufferStateReader::skipRemainingSection()
 {
     EQ_ASSERT(!frames_.empty(),
               "skipRemainingSection() outside a section");
     pos_ = frames_.back().payloadEnd;
+}
+
+void
+BufferStateReader::checkCount(std::uint64_t n, std::size_t min_bytes)
+{
+    const std::size_t limit =
+        frames_.empty() ? buf_.size() : frames_.back().payloadEnd;
+    if (n <= (limit - pos_) / min_bytes)
+        return;
+    const std::string tag = frames_.empty() ? "" : frames_.back().tag;
+    fatal("checkpoint truncated or corrupt: count ", n, " in section '",
+          tag, "' overruns its ", limit - pos_, " remaining bytes");
 }
 
 void

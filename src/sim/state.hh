@@ -46,6 +46,10 @@ struct PowerConfig;
  */
 inline constexpr std::uint32_t checkpointFormatVersion = 1;
 
+/** Bytes of the smallest framed section: empty tag, empty payload. */
+inline constexpr std::size_t minSectionBytes =
+    2 * sizeof(std::uint32_t) + 2 * sizeof(std::uint64_t);
+
 class StateVisitor;
 
 namespace detail
@@ -82,17 +86,14 @@ class StateVisitor
     /** True when writing a checkpoint, false when restoring one. */
     virtual bool saving() const = 0;
 
-    /** Open a framed section. On load the tag must match exactly. */
+    /**
+     * Open a framed section. On load the tag and the version must both
+     * match exactly: no component migrates an older layout.
+     */
     virtual void beginSection(const char *tag, std::uint32_t version) = 0;
 
     /** Close the innermost section (verifies length and checksum). */
     virtual void endSection() = 0;
-
-    /**
-     * Version of the innermost open section: the code's version when
-     * saving, the stored version when loading (for future migrations).
-     */
-    virtual std::uint32_t sectionVersion() const = 0;
 
     /**
      * Loading only: discard the unread remainder of the innermost
@@ -100,6 +101,13 @@ class StateVisitor
      * does not have, e.g. a different controller). No-op when saving.
      */
     virtual void skipRemainingSection() = 0;
+
+    /**
+     * Loading only: fatal() unless @p n elements of at least
+     * @p min_bytes serialized bytes each fit in what is left of the
+     * innermost section. No-op when saving.
+     */
+    virtual void checkCount(std::uint64_t n, std::size_t min_bytes) = 0;
 
     /** Raw fixed-size payload — the primitive everything reduces to. */
     virtual void bytes(void *data, std::size_t n) = 0;
@@ -121,25 +129,38 @@ class StateVisitor
         }
     }
 
+    /**
+     * Serialize a container's element count. On load the count is
+     * checked against the section's remaining bytes (checkCount()), so
+     * a forged count never reaches a resize().
+     */
+    std::size_t
+    count(std::size_t n, std::size_t min_bytes)
+    {
+        std::uint64_t c = n;
+        field(c);
+        checkCount(c, min_bytes);
+        return static_cast<std::size_t>(c);
+    }
+
     void
     field(std::string &s)
     {
-        std::uint64_t n = s.size();
-        field(n);
+        const std::size_t n = count(s.size(), 1);
         if (!saving())
-            s.resize(static_cast<std::size_t>(n));
+            s.resize(n);
         if (n > 0)
-            bytes(s.data(), s.size());
+            bytes(s.data(), n);
     }
 
     template <typename T>
     void
     field(std::vector<T> &vec)
     {
-        std::uint64_t n = vec.size();
-        field(n);
+        const std::size_t n = count(
+            vec.size(), std::is_trivially_copyable_v<T> ? sizeof(T) : 1);
         if (!saving())
-            vec.resize(static_cast<std::size_t>(n));
+            vec.resize(n);
         if constexpr (std::is_trivially_copyable_v<T>) {
             if (!vec.empty())
                 bytes(vec.data(), vec.size() * sizeof(T));
@@ -152,10 +173,9 @@ class StateVisitor
     void
     field(std::vector<bool> &vec)
     {
-        std::uint64_t n = vec.size();
-        field(n);
+        const std::size_t n = count(vec.size(), 1);
         if (!saving())
-            vec.assign(static_cast<std::size_t>(n), false);
+            vec.assign(n, false);
         for (std::size_t i = 0; i < vec.size(); ++i) {
             std::uint8_t b = vec[i] ? 1 : 0;
             field(b);
@@ -168,10 +188,9 @@ class StateVisitor
     void
     field(std::deque<T> &q)
     {
-        std::uint64_t n = q.size();
-        field(n);
+        const std::size_t n = count(q.size(), 1);
         if (!saving())
-            q.resize(static_cast<std::size_t>(n));
+            q.resize(n);
         for (auto &e : q)
             field(e);
     }
@@ -197,8 +216,8 @@ class StateVisitor
     void
     field(std::map<std::string, V> &m)
     {
-        std::uint64_t n = m.size();
-        field(n);
+        // Each entry holds at least its key's length.
+        const std::size_t n = count(m.size(), sizeof(std::uint64_t));
         if (saving()) {
             for (auto &[key, value] : m) {
                 std::string k = key;
@@ -207,7 +226,7 @@ class StateVisitor
             }
         } else {
             m.clear();
-            for (std::uint64_t i = 0; i < n; ++i) {
+            for (std::size_t i = 0; i < n; ++i) {
                 std::string k;
                 field(k);
                 V value{};
@@ -244,8 +263,8 @@ class BufferStateWriter : public StateVisitor
     bool saving() const override { return true; }
     void beginSection(const char *tag, std::uint32_t version) override;
     void endSection() override;
-    std::uint32_t sectionVersion() const override;
     void skipRemainingSection() override {}
+    void checkCount(std::uint64_t, std::size_t) override {}
     void bytes(void *data, std::size_t n) override;
 
     /** Finalize (all sections must be closed) and yield the buffer. */
@@ -255,7 +274,6 @@ class BufferStateWriter : public StateVisitor
     struct Frame
     {
         std::string tag;
-        std::uint32_t version;
         std::size_t lengthOffset; ///< where the u64 payload length lives
         std::size_t payloadStart;
     };
@@ -285,8 +303,8 @@ class BufferStateReader : public StateVisitor
     bool saving() const override { return false; }
     void beginSection(const char *tag, std::uint32_t version) override;
     void endSection() override;
-    std::uint32_t sectionVersion() const override;
     void skipRemainingSection() override;
+    void checkCount(std::uint64_t n, std::size_t min_bytes) override;
     void bytes(void *data, std::size_t n) override;
 
     /** Fingerprint stored in the checkpoint header. */
@@ -299,7 +317,6 @@ class BufferStateReader : public StateVisitor
     struct Frame
     {
         std::string tag;
-        std::uint32_t version;
         std::size_t payloadStart;
         std::size_t payloadEnd;
     };

@@ -198,7 +198,11 @@ INSTANTIATE_TEST_SUITE_P(
                       IdentityCase{"lbm", 1, 196839},
                       IdentityCase{"lbm", 4, 196839},
                       IdentityCase{"kmn", 1, 299943},
-                      IdentityCase{"kmn", 4, 299943}),
+                      IdentityCase{"kmn", 4, 299943},
+                      // stncl parks warps at barriers, and a barrier
+                      // release ends an SM's stall verdict.
+                      IdentityCase{"stncl", 1, 42682},
+                      IdentityCase{"stncl", 4, 42682}),
     [](const ::testing::TestParamInfo<IdentityCase> &i) {
         return std::string(i.param.kernel) + "_t" +
                std::to_string(i.param.threads);
@@ -245,6 +249,32 @@ TEST(FastPathEngagement, FastForwardsAllStalledMachine)
     EXPECT_EQ(fast.dynamicJoules, slow.dynamicJoules);
     EXPECT_EQ(fast.staticJoules, slow.staticJoules);
     EXPECT_EQ(fast_depth, slow_depth);
+}
+
+/**
+ * Warps queued on a conflicted shared-memory pipe stall with no result
+ * latency pending, so only the pipe draining (smemBusyUntil_) ends the
+ * stall verdict: both tiers must wake exactly then.
+ */
+TEST(FastPathEngagement, SharedPipeStallWakesWhenThePipeDrains)
+{
+    WarpInstruction shared;
+    shared.op = OpClass::Shared;
+    shared.conflictWays = 16;
+    auto run_once = [&shared](bool fast_path) {
+        GpuTop gpu(smallGpu(2, fast_path));
+        ScriptedKernel k(info(2, /*wcta=*/2, /*max_blocks=*/1),
+                         std::vector<WarpInstruction>(32, shared));
+        return gpu.runKernel(k);
+    };
+    const RunMetrics fast = run_once(true);
+    const RunMetrics slow = run_once(false);
+
+    EXPECT_GT(fast.fastForwardedCycles, 0u);
+    EXPECT_EQ(fast.smCycles, slow.smCycles);
+    EXPECT_EQ(fast.instructions, slow.instructions);
+    EXPECT_EQ(fast.dynamicJoules, slow.dynamicJoules);
+    EXPECT_EQ(fast.outcomeTotals.excessAlu, slow.outcomeTotals.excessAlu);
 }
 
 /** fast_path=0 must fully disable both tiers. */

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -192,6 +193,66 @@ TEST(StateRoundTrip, TamperedPayloadIsFatal)
             loadInto(b, buf);
         },
         ::testing::ExitedWithCode(1), "checkpoint");
+}
+
+/** One section of a chosen version holding a vector. */
+struct VersionedVector
+{
+    std::uint32_t version = 1;
+    std::vector<std::uint64_t> values;
+
+    void
+    visitState(StateVisitor &v)
+    {
+        v.beginSection("vec", version);
+        v.field(values);
+        v.endSection();
+    }
+};
+
+/**
+ * A section from an older layout would be misparsed field by field, so
+ * any version mismatch is refused, not only a newer one.
+ */
+TEST(CheckpointDeath, OlderSectionVersionIsFatal)
+{
+    VersionedVector old_layout{1, {1, 2, 3}};
+    const auto buf = saveOf(old_layout);
+    VersionedVector current;
+    current.version = 2;
+    EXPECT_EXIT(
+        loadInto(current, buf), ::testing::ExitedWithCode(1),
+        "section 'vec' has version 1, but this build reads version 2");
+}
+
+/**
+ * A forged element count is refused before the container is resized,
+ * even with the section checksum recomputed to match: a huge count
+ * must end in fatal(), not an uncaught std::bad_alloc.
+ */
+TEST(CheckpointDeath, ForgedElementCountIsFatal)
+{
+    VersionedVector small{1, {1, 2, 3}};
+    auto buf = saveOf(small);
+
+    // Header (magic, format version, fingerprint), then the frame: tag
+    // length, tag, section version, payload length; the count opens
+    // the payload, and the checksum follows it.
+    const std::size_t payload = 8 + 4 + 8 + 4 + 3 + 4 + 8;
+    std::uint64_t payload_len = 0;
+    std::memcpy(&payload_len, buf.data() + payload - 8, 8);
+    const std::uint64_t forged = std::uint64_t{1} << 40;
+    std::memcpy(buf.data() + payload, &forged, sizeof(forged));
+    const std::uint64_t sum =
+        fnv1a(buf.data() + payload, static_cast<std::size_t>(payload_len));
+    std::memcpy(buf.data() + payload + payload_len, &sum, sizeof(sum));
+
+    EXPECT_EXIT(
+        {
+            VersionedVector restored;
+            loadInto(restored, buf);
+        },
+        ::testing::ExitedWithCode(1), "count 1099511627776 in section 'vec'");
 }
 
 // --- Strict argument parsing (satellite) ------------------------------
