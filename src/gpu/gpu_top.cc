@@ -45,6 +45,10 @@ GpuTop::GpuTop(GpuConfig cfg, PowerConfig power)
       memDomain_("mem", cfg.memNominalHz),
       memSystem_(cfg_.mem, cfg_.numSms, energy_)
 {
+    if (cfg_.maxWarpsPerSm > StreamingMultiprocessor::maxWarpSlots)
+        fatal("maxWarpsPerSm = ", cfg_.maxWarpsPerSm, ": an SM holds at "
+              "most ", StreamingMultiprocessor::maxWarpSlots,
+              " warp slots (one bit each in its warp-state masks)");
     energy_.ensureSmShards(cfg_.numSms);
     for (int s = 0; s < cfg_.numSms; ++s)
         sms_.push_back(std::make_unique<StreamingMultiprocessor>(

@@ -101,15 +101,6 @@ LoadStoreUnit::skipCycles(Cycle n)
     }
 }
 
-std::vector<WarpId>
-LoadStoreUnit::drainHitWakeups(Cycle sm_now)
-{
-    std::vector<WarpId> out;
-    while (auto warp = hitWakeups_.popReady(sm_now))
-        out.push_back(*warp);
-    return out;
-}
-
 void
 LoadStoreUnit::reset()
 {

@@ -54,10 +54,17 @@ class LoadStoreUnit
     void tick(Cycle sm_now);
 
     /**
-     * Pop warps whose L1-hit data becomes available at @p sm_now.
-     * The caller decrements their pendingLoads.
+     * Pop, in order, the warps whose L1-hit data becomes available at
+     * @p sm_now and hand each to @p fn, which decrements its
+     * pendingLoads.
      */
-    std::vector<WarpId> drainHitWakeups(Cycle sm_now);
+    template <class Fn>
+    void
+    drainHitWakeups(Cycle sm_now, Fn &&fn)
+    {
+        while (auto warp = hitWakeups_.popReady(sm_now))
+            fn(*warp);
+    }
 
     bool empty() const { return queue_.empty(); }
     std::size_t queueDepth() const { return queue_.size(); }

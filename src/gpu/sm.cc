@@ -1,6 +1,7 @@
 #include "sm.hh"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "common/log.hh"
@@ -19,6 +20,34 @@ StreamingMultiprocessor::StreamingMultiprocessor(const GpuConfig &cfg,
     energy_.ensureSmShards(id_ + 1);
 }
 
+namespace
+{
+
+/** Mask of slots [0, k), k <= 64. */
+constexpr std::uint64_t
+lowMask(int k)
+{
+    return k >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << k) - 1;
+}
+
+/** Mask of slots [lo, hi), lo <= hi <= 64. */
+constexpr std::uint64_t
+slotRange(int lo, int hi)
+{
+    return lowMask(hi) & ~lowMask(lo);
+}
+
+/** Call @p fn(wid) for each set bit of @p m, lowest first. */
+template <class Fn>
+void
+forEachBit(std::uint64_t m, Fn &&fn)
+{
+    for (; m != 0; m &= m - 1)
+        fn(std::countr_zero(m));
+}
+
+} // namespace
+
 void
 StreamingMultiprocessor::setKernel(const KernelLaunch *kernel)
 {
@@ -28,6 +57,10 @@ StreamingMultiprocessor::setKernel(const KernelLaunch *kernel)
     const int by_warps = cfg_.maxWarpsPerSm / warpsPerBlock_;
     blockSlots_ = std::max(
         1, std::min({by_occupancy, by_warps, cfg_.maxBlocksPerSm}));
+    if (blockSlots_ * warpsPerBlock_ > maxWarpSlots)
+        fatal("kernel '", kernel->info().name, "' needs ",
+              blockSlots_ * warpsPerBlock_, " warp slots per SM; an SM ",
+              "holds at most ", maxWarpSlots);
 
     warps_.clear();
     warps_.resize(static_cast<std::size_t>(blockSlots_) * warpsPerBlock_);
@@ -41,60 +74,180 @@ StreamingMultiprocessor::setKernel(const KernelLaunch *kernel)
     l1_.flush();
     lsu_.reset();
     debugStallWakeup_.reset();
-    stalledUntil_ = 0;
+    rebuildWarpClasses();
+}
+
+void
+StreamingMultiprocessor::setClass(int wid, WarpClass c)
+{
+    const WarpMask bit = WarpMask{1} << wid;
+    auto &old = warpClass_[static_cast<std::size_t>(wid)];
+    classMask_[static_cast<std::size_t>(old)] &= ~bit;
+    classMask_[static_cast<std::size_t>(c)] |= bit;
+    if (!(paused_ & bit)) {
+        --liveCount_[static_cast<std::size_t>(old)];
+        ++liveCount_[static_cast<std::size_t>(c)];
+    }
+    old = c;
+}
+
+void
+StreamingMultiprocessor::setBlockPaused(int slot, bool paused)
+{
+    auto &b = blocks_[static_cast<std::size_t>(slot)];
+    b.paused = paused;
+    for (int wid = firstWarpOf(slot); wid < firstWarpOf(slot + 1); ++wid) {
+        warps_[static_cast<std::size_t>(wid)].paused = paused;
+        liveCount_[static_cast<std::size_t>(
+            warpClass_[static_cast<std::size_t>(wid)])] += paused ? -1 : 1;
+    }
+    if (paused)
+        paused_ |= blockMask(slot);
+    else
+        paused_ &= ~blockMask(slot);
+    traceEmit(traceRing_, [&] {
+        return makeSmEvent(paused ? TraceEventKind::CtaPause
+                                  : TraceEventKind::CtaResume,
+                           cycle_, id_, slot, b.block);
+    });
+}
+
+StreamingMultiprocessor::WarpClass
+StreamingMultiprocessor::classify(int wid)
+{
+    const auto &w = warps_[static_cast<std::size_t>(wid)];
+    if (!w.active)
+        return WarpClass::Inactive;
+    if (w.streamDone) {
+        if (w.pendingLoads > 0)
+            return WarpClass::Draining;
+        return warpRetiredCounted_[static_cast<std::size_t>(wid)]
+                   ? WarpClass::Retired
+                   : WarpClass::Retire;
+    }
+    // A Sync head is parked in the same pass that refills it.
+    if (w.atBarrier || (w.hasInst && w.inst.op == OpClass::Sync))
+        return WarpClass::Barrier;
+    if (!w.hasInst)
+        return WarpClass::Refill;
+    const bool result_stall = w.inst.dependsOnPrev && cycle_ < w.readyAt;
+    if (result_stall) {
+        const auto s = static_cast<std::size_t>(w.readyAt % 64);
+        wheel_[s] |= WarpMask{1} << wid;
+        wheelSlots_ |= WarpMask{1} << s;
+    }
+    if (result_stall || (w.inst.dependsOnLoads && w.pendingLoads > 0))
+        return WarpClass::Waiting;
+    switch (w.inst.op) {
+      case OpClass::Mem:
+        return WarpClass::ReadyMem;
+      case OpClass::Shared:
+        return WarpClass::ReadyShared;
+      default:
+        return WarpClass::ReadyAlu;
+    }
+}
+
+void
+StreamingMultiprocessor::rebuildWarpClasses()
+{
+    classMask_.fill(0);
+    liveCount_.fill(0);
+    wheel_.fill(0);
+    wheelSlots_ = 0;
+    paused_ = 0;
+    const int n = static_cast<int>(warps_.size());
+    for (int wid = 0; wid < n; ++wid) {
+        const WarpClass c = classify(wid);
+        warpClass_[static_cast<std::size_t>(wid)] = c;
+        classMask_[static_cast<std::size_t>(c)] |= WarpMask{1} << wid;
+        if (warps_[static_cast<std::size_t>(wid)].paused)
+            paused_ |= WarpMask{1} << wid;
+        else
+            ++liveCount_[static_cast<std::size_t>(c)];
+    }
+}
+
+void
+StreamingMultiprocessor::fireWheel(Cycle now)
+{
+    const auto s = static_cast<std::size_t>(now % 64);
+    WarpMask later = 0;
+    forEachBit(wheel_[s], [&](int wid) {
+        if (warpClass_[static_cast<std::size_t>(wid)] != WarpClass::Waiting)
+            return;
+        if (warps_[static_cast<std::size_t>(wid)].readyAt > now)
+            later |= WarpMask{1} << wid; // a later lap of the wheel
+        else
+            reclassify(wid);
+    });
+    wheel_[s] = later;
+    if (!later)
+        wheelSlots_ &= ~(WarpMask{1} << s);
+}
+
+Cycle
+StreamingMultiprocessor::nextWheelWakeup() const
+{
+    if (!wheelSlots_)
+        return noWakeup;
+    const int from = static_cast<int>((cycle_ + 1) % 64);
+    return cycle_ + 1 +
+           static_cast<Cycle>(std::countr_zero(std::rotr(wheelSlots_, from)));
+}
+
+void
+StreamingMultiprocessor::loadReturned(WarpId wid)
+{
+    auto &w = warps_[static_cast<std::size_t>(wid)];
+    if (!w.active || w.pendingLoads == 0)
+        return;
+    if (--w.pendingLoads > 0)
+        return;
+    const WarpClass c = warpClass_[static_cast<std::size_t>(wid)];
+    if (c == WarpClass::Waiting || c == WarpClass::Draining)
+        reclassify(wid);
 }
 
 int
 StreamingMultiprocessor::residentBlocks() const
 {
-    int n = 0;
-    for (const auto &b : blocks_)
-        n += b.occupied ? 1 : 0;
-    return n;
+    return (static_cast<int>(warps_.size()) -
+            liveCount_[static_cast<std::size_t>(WarpClass::Inactive)]) /
+           warpsPerBlock_;
 }
 
 int
 StreamingMultiprocessor::unpausedBlocks() const
 {
-    int n = 0;
-    for (const auto &b : blocks_)
-        n += (b.occupied && !b.paused) ? 1 : 0;
-    return n;
+    int live = 0;
+    for (std::size_t c = 0; c < liveCount_.size(); ++c)
+        if (c != static_cast<std::size_t>(WarpClass::Inactive))
+            live += liveCount_[c];
+    return live / warpsPerBlock_;
 }
 
 bool
 StreamingMultiprocessor::hasFreeSlot() const
 {
-    for (const auto &b : blocks_)
-        if (!b.occupied)
-            return true;
-    return false;
+    return mask(WarpClass::Inactive) != 0;
 }
 
 bool
 StreamingMultiprocessor::wantsBlock() const
 {
-    if (!kernel_ || !hasFreeSlot())
-        return false;
     // Prefer unpausing a resident block over fetching a new one: while a
     // paused block exists the SM never requests more work (paper IV-B).
-    for (const auto &b : blocks_)
-        if (b.occupied && b.paused)
-            return false;
-    return unpausedBlocks() < targetBlocks_;
+    return kernel_ && hasFreeSlot() && paused_ == 0 &&
+           unpausedBlocks() < targetBlocks_;
 }
 
 void
 StreamingMultiprocessor::assignBlock(BlockId block)
 {
-    int slot = -1;
-    for (int s = 0; s < blockSlots_; ++s) {
-        if (!blocks_[static_cast<std::size_t>(s)].occupied) {
-            slot = s;
-            break;
-        }
-    }
-    EQ_ASSERT(slot >= 0, "assignBlock with no free slot on SM ", id_);
+    EQ_ASSERT(hasFreeSlot(), "assignBlock with no free slot on SM ", id_);
+    const int slot =
+        std::countr_zero(mask(WarpClass::Inactive)) / warpsPerBlock_;
 
     auto &bs = blocks_[static_cast<std::size_t>(slot)];
     bs.occupied = true;
@@ -112,8 +265,8 @@ StreamingMultiprocessor::assignBlock(BlockId block)
         w.block = block;
         w.stream = kernel_->makeWarpStream(block, wib);
         warpRetiredCounted_[static_cast<std::size_t>(wid)] = false;
+        setClass(wid, WarpClass::Refill);
     }
-    stalledUntil_ = 0;
 }
 
 void
@@ -121,25 +274,11 @@ StreamingMultiprocessor::setTargetBlocks(int target)
 {
     targetBlocks_ = std::clamp(target, 1, blockSlots_);
     applyPauseState();
-    stalledUntil_ = 0;
 }
 
 void
 StreamingMultiprocessor::applyPauseState()
 {
-    auto set_block_pause = [this](int slot, bool paused) {
-        auto &b = blocks_[static_cast<std::size_t>(slot)];
-        b.paused = paused;
-        for (int wib = 0; wib < warpsPerBlock_; ++wib)
-            warps_[static_cast<std::size_t>(firstWarpOf(slot) + wib)]
-                .paused = paused;
-        traceEmit(traceRing_, [&] {
-            return makeSmEvent(paused ? TraceEventKind::CtaPause
-                                      : TraceEventKind::CtaResume,
-                               cycle_, id_, slot, b.block);
-        });
-    };
-
     // Pause the youngest running blocks while over target.
     while (unpausedBlocks() > targetBlocks_) {
         int victim = -1;
@@ -154,7 +293,7 @@ StreamingMultiprocessor::applyPauseState()
         }
         if (victim < 0)
             break;
-        set_block_pause(victim, true);
+        setBlockPaused(victim, true);
     }
 
     // Unpause the oldest paused blocks while under target.
@@ -170,20 +309,18 @@ StreamingMultiprocessor::applyPauseState()
         }
         if (pick < 0)
             break;
-        set_block_pause(pick, false);
+        setBlockPaused(pick, false);
     }
 }
 
 void
 StreamingMultiprocessor::refillInstruction(WarpSlot &w)
 {
-    WarpInstruction inst;
-    if (w.stream->next(inst)) {
+    if (w.stream->next(w.inst)) {
         ++w.fetched;
-        w.inst = inst;
         w.hasInst = true;
         w.nextTransaction = 0;
-        w.readyAt = inst.dependsOnPrev
+        w.readyAt = w.inst.dependsOnPrev
                         ? w.lastIssueCycle + w.lastResultLatency
                         : 0;
     } else {
@@ -195,14 +332,10 @@ StreamingMultiprocessor::refillInstruction(WarpSlot &w)
 void
 StreamingMultiprocessor::handleRetirement(WarpId wid)
 {
-    auto &w = warps_[static_cast<std::size_t>(wid)];
-    if (warpRetiredCounted_[static_cast<std::size_t>(wid)] ||
-        !w.streamDone || w.pendingLoads > 0) {
-        return;
-    }
     warpRetiredCounted_[static_cast<std::size_t>(wid)] = true;
+    setClass(wid, WarpClass::Retired);
 
-    const int slot = w.blockSlot;
+    const int slot = warps_[static_cast<std::size_t>(wid)].blockSlot;
     auto &bs = blocks_[static_cast<std::size_t>(slot)];
     if (++bs.warpsDone < warpsPerBlock_)
         return;
@@ -214,6 +347,7 @@ StreamingMultiprocessor::handleRetirement(WarpId wid)
         const int i = firstWarpOf(slot) + wib;
         warps_[static_cast<std::size_t>(i)].reset();
         warpRetiredCounted_[static_cast<std::size_t>(i)] = false;
+        setClass(i, WarpClass::Inactive);
     }
     ++blocksCompleted_;
     traceEmit(traceRing_, [&] {
@@ -225,294 +359,276 @@ StreamingMultiprocessor::handleRetirement(WarpId wid)
     // Paper IV-B: a paused block is unpaused when an active block
     // finishes; no new GWDE request is made in that case.
     applyPauseState();
-
-    if (onBlockComplete_)
-        onBlockComplete_(id_, finished);
 }
 
-bool
+void
 StreamingMultiprocessor::releaseBarriers()
 {
-    bool released = false;
-    for (int s = 0; s < blockSlots_; ++s) {
-        const auto &bs = blocks_[static_cast<std::size_t>(s)];
-        if (!bs.occupied || bs.paused)
+    WarpMask parked = mask(WarpClass::Barrier) & ~paused_;
+    const WarpMask done = mask(WarpClass::Draining) |
+                          mask(WarpClass::Retire) |
+                          mask(WarpClass::Retired);
+    while (parked) {
+        const WarpMask bm =
+            blockMask(std::countr_zero(parked) / warpsPerBlock_);
+        parked &= ~bm;
+        // Every warp of the block is parked or has finished its program.
+        if (((mask(WarpClass::Barrier) | done) & bm) != bm)
             continue;
-        bool any_at_barrier = false;
-        bool all_parked = true;
-        for (int wib = 0; wib < warpsPerBlock_; ++wib) {
-            const auto &w =
-                warps_[static_cast<std::size_t>(firstWarpOf(s) + wib)];
-            if (!w.active)
-                continue;
-            if (w.atBarrier) {
-                any_at_barrier = true;
-            } else if (!w.streamDone) {
-                all_parked = false;
-                break;
-            }
-        }
-        if (!any_at_barrier || !all_parked)
-            continue;
-        for (int wib = 0; wib < warpsPerBlock_; ++wib) {
-            auto &w =
-                warps_[static_cast<std::size_t>(firstWarpOf(s) + wib)];
-            if (w.atBarrier) {
-                w.atBarrier = false;
-                w.hasInst = false; // consume the Sync instruction
-            }
-        }
-        released = true;
+        forEachBit(mask(WarpClass::Barrier) & bm, [this](int wid) {
+            auto &w = warps_[static_cast<std::size_t>(wid)];
+            w.atBarrier = false;
+            w.hasInst = false; // consume the Sync instruction
+            setClass(wid, WarpClass::Refill);
+        });
     }
-    return released;
 }
 
-Cycle
-StreamingMultiprocessor::schedulePass()
+StreamingMultiprocessor::WarpMask
+StreamingMultiprocessor::visitMask(int slots, int reg_reads, bool smem_free,
+                                   bool lsu_free) const
 {
-    const int n = static_cast<int>(warps_.size());
-    int slots = cfg_.issueWidth;
-    int reg_reads = cfg_.regReadPorts;
+    WarpMask m = mask(WarpClass::Refill) | mask(WarpClass::Retire);
+    if (slots > 0 && reg_reads >= 3)
+        m |= mask(WarpClass::ReadyAlu);
+    if (slots > 0 && reg_reads >= 2 && smem_free)
+        m |= mask(WarpClass::ReadyShared);
+    if ((slots > 0 && reg_reads >= 2 && lsu_free) || memIssueFilter_)
+        m |= mask(WarpClass::ReadyMem);
+    return m & ~paused_;
+}
+
+WarpStateCounts
+StreamingMultiprocessor::skippedCounts(const ClassTally &per_class)
+{
+    auto n = [&per_class](WarpClass c) {
+        return per_class[static_cast<std::size_t>(c)];
+    };
     WarpStateCounts counts;
+    counts.unaccounted = n(WarpClass::Inactive);
+    counts.waiting = n(WarpClass::Waiting) + n(WarpClass::Draining);
+    counts.barrier = n(WarpClass::Barrier);
+    counts.excessAlu = n(WarpClass::ReadyAlu) + n(WarpClass::ReadyShared);
+    counts.excessMem = n(WarpClass::ReadyMem);
+    counts.active = counts.waiting + counts.barrier + counts.excessAlu +
+                    counts.excessMem;
+    return counts;
+}
 
-    const int start = cfg_.scheduler == SchedulerPolicy::GreedyThenOldest
-                          ? greedyWarp_
-                          : rrStart_;
-    int first_issued = -1;
-    bool freed_block = false;
-    Cycle wakeup = noWakeup;
+WarpStateCounts
+StreamingMultiprocessor::rangeCounts(WarpMask range) const
+{
+    ClassTally per_class{};
+    for (std::size_t c = 0; c < per_class.size(); ++c)
+        per_class[c] = std::popcount(classMask_[c] & range & ~paused_);
+    return skippedCounts(per_class);
+}
 
-    for (int i = 0; i < n; ++i) {
-        const int wid = (start + i) % n;
-        auto &w = warps_[static_cast<std::size_t>(wid)];
+void
+StreamingMultiprocessor::visitWarp(int wid, WarpMask later, IssuePorts &ports,
+                                   WarpStateCounts &counts)
+{
+    auto &w = warps_[static_cast<std::size_t>(wid)];
+    // The pass's counts hold this warp as skipped; its visit replaces
+    // that. Only a ready warp counts when skipped (active and excess).
+    switch (warpClass_[static_cast<std::size_t>(wid)]) {
+      case WarpClass::Refill:
+        refillInstruction(w);
+        reclassify(wid);
+        break;
+      case WarpClass::ReadyMem:
+        --counts.active;
+        --counts.excessMem;
+        break;
+      case WarpClass::ReadyAlu:
+      case WarpClass::ReadyShared:
+        --counts.active;
+        --counts.excessAlu;
+        break;
+      default:
+        break;
+    }
 
-        if (!w.active) {
+    switch (warpClass_[static_cast<std::size_t>(wid)]) {
+      case WarpClass::Retire: {
+        // Freeing the block slot (which may unpause another block)
+        // changes how the rest of the rotation counts.
+        const bool frees =
+            blocks_[static_cast<std::size_t>(w.blockSlot)].warpsDone + 1 ==
+            warpsPerBlock_;
+        const WarpStateCounts before =
+            frees ? rangeCounts(later) : WarpStateCounts{};
+        handleRetirement(wid);
+        if (frees) {
+            counts.addScaled(before, -1);
+            counts += rangeCounts(later);
             ++counts.unaccounted;
-            continue;
         }
-        if (w.paused)
-            continue;
-        if (!w.hasInst && !w.streamDone && !w.atBarrier)
-            refillInstruction(w);
-
-        if (w.streamDone) {
-            handleRetirement(wid);
-            // handleRetirement may have freed the whole block slot.
-            if (!w.active) {
-                freed_block = true;
-                ++counts.unaccounted;
-                continue;
-            }
-            if (w.pendingLoads > 0) {
-                ++counts.active;
-                ++counts.waiting;
-            }
-            continue;
-        }
-
-        if (w.atBarrier) {
-            ++counts.active;
-            ++counts.barrier;
-            continue;
-        }
-
-        EQ_ASSERT(w.hasInst, "active unparked warp without an instruction");
+        return;
+      }
+      case WarpClass::Draining:
+      case WarpClass::Waiting:
         ++counts.active;
+        ++counts.waiting;
+        return;
+      case WarpClass::Barrier:
+        w.atBarrier = true;
+        ++counts.active;
+        ++counts.barrier;
+        return;
+      default:
+        break;
+    }
+    ++counts.active;
 
-        if (w.inst.op == OpClass::Sync) {
-            w.atBarrier = true;
-            ++counts.barrier;
-            continue;
-        }
+    auto issue = [&](Cycle result_latency, int reg_reads) {
+        w.hasInst = false;
+        w.lastIssueCycle = cycle_;
+        w.lastResultLatency = result_latency;
+        setClass(wid, WarpClass::Refill);
+        ++counts.issued;
+        ++issued_;
+        --ports.slots;
+        ports.regReads -= reg_reads;
+        if (ports.firstIssued < 0)
+            ports.firstIssued = wid;
+    };
 
-        const bool load_stall =
-            w.inst.dependsOnLoads && w.pendingLoads > 0;
-        const bool result_stall =
-            w.inst.dependsOnPrev && cycle_ < w.readyAt;
-        if (load_stall || result_stall) {
-            // Load returns are memory events; a result stall ends at
-            // readyAt.
-            if (!load_stall)
-                wakeup = std::min(wakeup, w.readyAt);
+    if (w.inst.op == OpClass::Mem) {
+        if (memIssueFilter_ && !memIssueFilter_(wid)) {
+            // CCWS-style throttle: held back, not pipe pressure.
             ++counts.waiting;
-            continue;
+            return;
         }
-
-        if (w.inst.op == OpClass::Mem) {
-            if (memIssueFilter_ && !memIssueFilter_(wid)) {
-                // CCWS-style throttle: held back, not pipe pressure.
-                ++counts.waiting;
-                continue;
-            }
-            if (slots > 0 && reg_reads >= 2 && lsu_.canAccept()) {
-                lsu_.accept(wid, w.inst);
-                if (!w.inst.write)
-                    w.pendingLoads += w.inst.transactionCount;
-                w.hasInst = false;
-                w.lastIssueCycle = cycle_;
-                w.lastResultLatency = 1;
-                ++counts.issued;
-                ++issued_;
-                --slots;
-                if (first_issued < 0)
-                    first_issued = wid;
-                reg_reads -= 2;
-                energy_.record(id_, EnergyEvent::SmIssue);
-                energy_.record(id_, EnergyEvent::SmLsuOp);
-                energy_.record(id_, EnergyEvent::SmRegAccess, 2);
-            } else {
-                ++counts.excessMem;
-            }
-            continue;
-        }
-
-        if (w.inst.op == OpClass::Shared) {
-            // Scratchpad access: an SM-side pipe that serializes on bank
-            // conflicts. Contention here is SM pressure (X_alu), not
-            // memory-system pressure.
-            if (slots > 0 && reg_reads >= 2 && cycle_ >= smemBusyUntil_) {
-                smemBusyUntil_ =
-                    cycle_ + static_cast<Cycle>(w.inst.conflictWays);
-                w.hasInst = false;
-                w.lastIssueCycle = cycle_;
-                w.lastResultLatency =
-                    cfg_.smemLatency +
-                    static_cast<Cycle>(w.inst.conflictWays) - 1;
-                ++counts.issued;
-                ++issued_;
-                --slots;
-                reg_reads -= 2;
-                if (first_issued < 0)
-                    first_issued = wid;
-                energy_.record(id_, EnergyEvent::SmIssue);
-                energy_.record(id_, EnergyEvent::SmSharedAccess,
-                               static_cast<std::uint64_t>(
-                                   w.inst.conflictWays));
-                energy_.record(id_, EnergyEvent::SmRegAccess, 2);
-            } else {
-                if (cycle_ < smemBusyUntil_)
-                    wakeup = std::min(wakeup, smemBusyUntil_);
-                ++counts.excessAlu;
-            }
-            continue;
-        }
-
-        // Arithmetic (ALU or SFU).
-        if (slots > 0 && reg_reads >= 3) {
-            w.hasInst = false;
-            w.lastIssueCycle = cycle_;
-            // Real instruction mixes have varied result latencies; a
-            // deterministic +/-2-cycle jitter keeps identical warps from
-            // forming lockstep convoys that alias the issue slots.
-            const Cycle base = w.inst.op == OpClass::Sfu
-                                   ? cfg_.sfuDepLatency
-                                   : cfg_.aluDepLatency;
-            const Cycle jitter =
-                (static_cast<Cycle>(wid) * 7 + cycle_) % 5;
-            w.lastResultLatency = base + jitter - 2;
-            ++counts.issued;
-            ++issued_;
-            --slots;
-            if (first_issued < 0)
-                first_issued = wid;
-            reg_reads -= 3;
+        if (ports.slots > 0 && ports.regReads >= 2 && lsu_.canAccept()) {
+            lsu_.accept(wid, w.inst);
+            if (!w.inst.write)
+                w.pendingLoads += w.inst.transactionCount;
+            issue(1, 2);
             energy_.record(id_, EnergyEvent::SmIssue);
-            // Divergent warps drive only a fraction of the datapath.
-            energy_.recordScaled(id_,
-                                 w.inst.op == OpClass::Sfu
-                                     ? EnergyEvent::SmSfuOp
-                                     : EnergyEvent::SmAluOp,
-                                 static_cast<double>(w.inst.activeLanes) /
-                                     warpLanes);
-            energy_.record(id_, EnergyEvent::SmRegAccess, 3);
+            energy_.record(id_, EnergyEvent::SmLsuOp);
+            energy_.record(id_, EnergyEvent::SmRegAccess, 2);
+        } else {
+            ++counts.excessMem;
+        }
+        return;
+    }
+
+    if (w.inst.op == OpClass::Shared) {
+        // Scratchpad access: an SM-side pipe that serializes on bank
+        // conflicts. Contention here is SM pressure (X_alu), not
+        // memory-system pressure.
+        if (ports.slots > 0 && ports.regReads >= 2 &&
+            cycle_ >= smemBusyUntil_) {
+            const auto ways = static_cast<Cycle>(w.inst.conflictWays);
+            smemBusyUntil_ = cycle_ + ways;
+            issue(cfg_.smemLatency + ways - 1, 2);
+            energy_.record(id_, EnergyEvent::SmIssue);
+            energy_.record(id_, EnergyEvent::SmSharedAccess,
+                           static_cast<std::uint64_t>(ways));
+            energy_.record(id_, EnergyEvent::SmRegAccess, 2);
         } else {
             ++counts.excessAlu;
         }
+        return;
     }
 
-    rrStart_ = n ? (rrStart_ + 1) % n : 0;
+    // Arithmetic (ALU or SFU).
+    if (ports.slots > 0 && ports.regReads >= 3) {
+        // Real instruction mixes have varied result latencies; a
+        // deterministic +/-2-cycle jitter keeps identical warps from
+        // forming lockstep convoys that alias the issue slots.
+        const bool sfu = w.inst.op == OpClass::Sfu;
+        const Cycle base = sfu ? cfg_.sfuDepLatency : cfg_.aluDepLatency;
+        const Cycle jitter = (static_cast<Cycle>(wid) * 7 + cycle_) % 5;
+        issue(base + jitter - 2, 3);
+        energy_.record(id_, EnergyEvent::SmIssue);
+        // Divergent warps drive only a fraction of the datapath.
+        energy_.recordScaled(
+            id_, sfu ? EnergyEvent::SmSfuOp : EnergyEvent::SmAluOp,
+            static_cast<double>(w.inst.activeLanes) / warpLanes);
+        energy_.record(id_, EnergyEvent::SmRegAccess, 3);
+    } else {
+        ++counts.excessAlu;
+    }
+}
+
+void
+StreamingMultiprocessor::schedulePass()
+{
+    const int n = static_cast<int>(warps_.size());
+    IssuePorts ports{cfg_.issueWidth, cfg_.regReadPorts};
+    WarpStateCounts counts = skippedCounts(liveCount_);
+
+    // Rotation position p is warp slot (start + p) mod n. Every slot is
+    // counted as skipped up front; a visit corrects its own slot, and a
+    // retirement that frees a block re-counts the positions after it,
+    // so the freed slots there count as inactive and a block it
+    // unpauses is visited from that position on.
+    const int start = cfg_.scheduler == SchedulerPolicy::GreedyThenOldest
+                          ? greedyWarp_
+                          : rrStart_;
+    auto slots_from = [&](int from) { // positions [from, n)
+        return start + from >= n ? slotRange(start + from - n, start)
+                                 : slotRange(start + from, n) |
+                                       lowMask(start);
+    };
+    for (int pos = 0; pos < n;) {
+        const WarpMask visit = visitMask(ports.slots, ports.regReads,
+                                         cycle_ >= smemBusyUntil_,
+                                         lsu_.canAccept());
+        const WarpMask ahead = visit ? visit & slots_from(pos) : 0;
+        if (!ahead)
+            break;
+        // Slots at or after start come first in the rotation.
+        const WarpMask upper = ahead & ~lowMask(start);
+        const int next = upper ? std::countr_zero(upper) - start
+                               : std::countr_zero(ahead) + n - start;
+        visitWarp(start + next < n ? start + next : start + next - n,
+                  slots_from(next + 1), ports, counts);
+        pos = next + 1;
+    }
+
+    if (++rrStart_ >= n)
+        rrStart_ = 0;
     if (cfg_.scheduler == SchedulerPolicy::GreedyThenOldest &&
-        first_issued >= 0) {
-        greedyWarp_ = first_issued;
+        ports.firstIssued >= 0) {
+        greedyWarp_ = ports.firstIssued;
     }
 
     outcomeTotals_ += counts;
     lastCounts_ = counts;
-    return counts.issued > 0 || freed_block ? 0 : wakeup;
 }
 
 void
 StreamingMultiprocessor::tick(Cycle mem_now)
 {
-    // Fast tick (docs/FAST_PATH.md): while the last full tick's stall
-    // verdict stands, this cycle's pass would repeat that one, so only
-    // its bookkeeping is replayed. Decisions are SM-local (plus this
-    // SM's response-queue head, stable during the parallel phase), so
-    // results are identical at any threads= count. The memory system
-    // keeps running between SM ticks, so a matured response or an LSU
-    // head that could now move ends the verdict's span early.
-    if (cfg_.fastPath && cycle_ + 1 < stalledUntil_ &&
-        !memSystem_.hasDrainableResponse(id_, mem_now) &&
-        lsu_.wouldIdle()) {
-        ++cycle_;
-        lsu_.skipCycles(1); // beginCycle() plus the blocked-head retry
-        const int nw = static_cast<int>(warps_.size());
-        if (nw > 0)
-            rrStart_ = (rrStart_ + 1) % nw;
-        // greedyWarp_ and smemBusyUntil_ only move when something issues.
-        outcomeTotals_ += lastCounts_;
-        if (residentBlocks() > 0)
-            ++activeCycles_;
-        return;
-    }
-
     ++cycle_;
     lsu_.beginCycle();
+    if (wheelSlots_ >> (cycle_ % 64) & 1)
+        fireWheel(cycle_);
 
     // 1. Returning memory data.
-    for (const auto &resp :
-         memSystem_.drainResponses(id_, mem_now,
-                                   std::numeric_limits<int>::max())) {
-        if (resp.texture) {
-            auto &w = warps_[static_cast<std::size_t>(resp.warp)];
-            if (w.active && w.pendingLoads > 0)
-                --w.pendingLoads;
-        } else {
-            for (WarpId wid : l1_.fill(resp.lineAddr)) {
-                auto &w = warps_[static_cast<std::size_t>(wid)];
-                if (w.active && w.pendingLoads > 0)
-                    --w.pendingLoads;
-            }
-        }
-    }
+    memSystem_.drainReadyResponses(id_, mem_now, [this](const MemAccess &r) {
+        if (r.texture)
+            loadReturned(r.warp);
+        else
+            l1_.fill(r.lineAddr, [this](WarpId w) { loadReturned(w); });
+    });
 
     // 2. L1 hits maturing this cycle.
-    for (WarpId wid : lsu_.drainHitWakeups(cycle_)) {
-        auto &w = warps_[static_cast<std::size_t>(wid)];
-        if (w.active && w.pendingLoads > 0)
-            --w.pendingLoads;
-    }
+    lsu_.drainHitWakeups(cycle_, [this](WarpId w) { loadReturned(w); });
 
     // 3. Scheduling / issue.
-    const Cycle pass_wakeup = schedulePass();
+    schedulePass();
 
     // 4. LSU transaction processing.
     lsu_.tick(cycle_);
 
     // 5. Barrier release.
-    const bool released = releaseBarriers();
+    releaseBarriers();
 
-    // The stall verdict: the pass stands for every later cycle before
-    // its wakeup unless what ran after it can change the next pass — a
-    // released barrier, or an LSU queue with room for an X_mem warp —
-    // or an external gate may flip any cycle.
-    const bool void_verdict =
-        released || memIssueFilter_ || debugStallWakeup_ ||
-        (lastCounts_.excessMem > 0 && !lsu_.queueFull());
-    stalledUntil_ =
-        void_verdict ? 0 : std::min(pass_wakeup, lsu_.nextHitWakeup());
-
-    if (residentBlocks() > 0)
+    if (!idle())
         ++activeCycles_;
 }
 
@@ -521,11 +637,18 @@ StreamingMultiprocessor::checkStalled() const
 {
     if (debugStallWakeup_)
         return StallCheck{true, *debugStallWakeup_};
-    // Memory ticks since the last SM tick may have freed downstream
-    // queue room, so the LSU idleness is re-probed fresh.
-    if (stalledUntil_ == 0 || !lsu_.wouldIdle())
+    // The next pass runs at cycle_ + 1 with fresh issue ports and an
+    // LSU accept gate that beginCycle() resets.
+    const bool smem_free = cycle_ + 1 >= smemBusyUntil_;
+    if (memIssueFilter_ ||
+        visitMask(cfg_.issueWidth, cfg_.regReadPorts, smem_free,
+                  !lsu_.queueFull()) != 0 ||
+        !lsu_.wouldIdle())
         return StallCheck{};
-    return StallCheck{true, stalledUntil_};
+    Cycle wakeup = std::min(nextWheelWakeup(), lsu_.nextHitWakeup());
+    if (mask(WarpClass::ReadyShared) & ~paused_)
+        wakeup = std::min(wakeup, smemBusyUntil_);
+    return StallCheck{true, wakeup};
 }
 
 void
@@ -533,9 +656,12 @@ StreamingMultiprocessor::skipCycles(Cycle n)
 {
     if (n == 0)
         return;
-    EQ_ASSERT(debugStallWakeup_ || cycle_ + n < stalledUntil_,
-              "skipCycles(", n, ") on SM ", id_, " at cycle ", cycle_,
-              " outlives its stall verdict (", stalledUntil_, ")");
+    if (!debugStallWakeup_) {
+        const StallCheck chk = checkStalled();
+        EQ_ASSERT(chk.skippable && cycle_ + n < chk.wakeup, "skipCycles(",
+                  n, ") on SM ", id_, " at cycle ", cycle_,
+                  " is not a stalled span");
+    }
 
     cycle_ += n;
     lsu_.skipCycles(n); // covers beginCycle() and the blocked-head retry
@@ -545,8 +671,9 @@ StreamingMultiprocessor::skipCycles(Cycle n)
                                     static_cast<Cycle>(nw));
     // greedyWarp_ only moves when something issues; smemBusyUntil_ only
     // when a Shared op issues — both are untouched by a stalled span.
+    lastCounts_ = skippedCounts(liveCount_);
     outcomeTotals_.addScaled(lastCounts_, static_cast<std::int64_t>(n));
-    if (residentBlocks() > 0)
+    if (!idle())
         activeCycles_ += n;
 }
 
@@ -591,7 +718,18 @@ StreamingMultiprocessor::visitState(StateVisitor &v)
     v.field(lsu_);
     if (!v.saving()) {
         kernel_ = nullptr; // rebindKernel() must follow for mid-kernel
-        stalledUntil_ = 0;
+        // The warp-state engine indexes these by warp slot.
+        const auto slots = static_cast<std::size_t>(blockSlots_);
+        if (warpsPerBlock_ < 1 || blocks_.size() != slots ||
+            warps_.size() != slots * static_cast<std::size_t>(
+                                         warpsPerBlock_) ||
+            warps_.size() > static_cast<std::size_t>(maxWarpSlots) ||
+            warpRetiredCounted_.size() != warps_.size())
+            fatal("checkpoint SM ", id_, " holds ", warps_.size(),
+                  " warp slots in ", blocks_.size(), " blocks of ",
+                  warpsPerBlock_, "; expected ", blockSlots_,
+                  " blocks and at most ", maxWarpSlots, " slots");
+        rebuildWarpClasses();
     }
     v.endSection();
 }

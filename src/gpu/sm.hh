@@ -7,6 +7,7 @@
 #ifndef EQ_GPU_SM_HH
 #define EQ_GPU_SM_HH
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -31,19 +32,36 @@ namespace equalizer
  *
  * Warp slots are grouped into block slots of W_cta consecutive warps.
  * Each SM cycle: memory responses are drained, the warp scheduler makes
- * a dual-issue pass (classifying every warp into the cycle's
- * WarpStateCounts — the substrate of Equalizer's counters), and the LSU
- * pushes transactions toward the L1/memory system. CTA pausing masks
- * whole block slots out of both scheduling and the counters, per paper
- * Section IV. The pass is the only warp classifier: when it changes
- * nothing, its counts become the SM's stall verdict, which the fast
- * path replays (docs/FAST_PATH.md).
+ * a dual-issue pass, and the LSU pushes transactions toward the
+ * L1/memory system. CTA pausing masks whole block slots out of both
+ * scheduling and the counters, per paper Section IV.
+ *
+ * Warp issue is event driven. Every warp slot sits in exactly one
+ * WarpClass, kept as a 64-bit mask per class (plus a paused mask):
+ * inactive, needs-refill, waiting (scoreboard), draining (program done,
+ * loads outstanding), barrier, ready-ALU/SFU, ready-Shared, ready-Mem,
+ * retire-candidate and retired. A warp moves between masks only at the
+ * events that change its state: issue and barrier release (to
+ * needs-refill), refill, a load count reaching 0 (response drain and
+ * L1-hit wake-up), `readyAt` reached (a 64-slot timing wheel), barrier
+ * park, pause and unpause, block assign and retire. The schedule pass
+ * visits, in RR/GTO rotation order, only the warps that need a refill,
+ * can retire or can issue with the resources left. The warps it skips
+ * are counted into the cycle's WarpStateCounts (the substrate of
+ * Equalizer's four counters) from per-class tallies of unpaused warps,
+ * kept next to the masks, so a cycle's counts cost O(1); masks are
+ * popcounted only when a retirement frees a block mid-pass (the
+ * baseline x86-64 target has no popcount instruction). The masks,
+ * tallies, wheel and class array are derived state: never serialized,
+ * rebuilt from the warp slots on setKernel and on a restore. The fast path
+ * (docs/FAST_PATH.md) asks the same masks whether a cycle can change
+ * anything.
  */
 class StreamingMultiprocessor
 {
   public:
-    /** Callback fired when a block fully retires: (sm, block id). */
-    using BlockCompleteHook = std::function<void(SmId, BlockId)>;
+    /** Warp slots per SM that the per-class warp masks can hold. */
+    static constexpr int maxWarpSlots = 64;
 
     /** CCWS-style gate: may this warp issue a memory instruction now? */
     using MemIssueFilter = std::function<bool(WarpId)>;
@@ -117,20 +135,20 @@ class StreamingMultiprocessor
 
     /**
      * Whether the next tick would provably change nothing except the
-     * per-cycle bookkeeping that skipCycles() replays: answered from
-     * the stall verdict of the last full tick alone, plus a fresh probe
-     * of the LSU head. An SM without a verdict — after any external
-     * mutation — reports not-skippable until one full tick has run.
+     * per-cycle bookkeeping that skipCycles() replays, answered from
+     * live engine state: no unpaused warp needs a refill, can retire or
+     * could issue, no memory-issue filter is installed, and the LSU
+     * head is blocked. Memory responses are the caller's to check.
      * Pure probe.
      */
     StallCheck checkStalled() const;
 
     /**
      * Replay @p n fully-stalled ticks: cycle count, scheduler rotation,
-     * the verdict's per-cycle counter accumulation, LSU blocked-head
-     * bookkeeping and active-cycle accounting. Only valid when
-     * checkStalled() reported skippable and every replayed cycle is
-     * strictly below its wakeup (and any memory-side bound).
+     * the per-cycle counter accumulation, LSU blocked-head bookkeeping
+     * and active-cycle accounting. Only valid when checkStalled()
+     * reported skippable and every replayed cycle is strictly below its
+     * wakeup (and any memory-side bound).
      */
     void skipCycles(Cycle n);
 
@@ -140,12 +158,7 @@ class StreamingMultiprocessor
      * fast path's wakeup-consistency check (which aborts on a wakeup
      * in the past). reset by setKernel().
      */
-    void
-    debugSetStallWakeup(Cycle wakeup)
-    {
-        debugStallWakeup_ = wakeup;
-        stalledUntil_ = 0;
-    }
+    void debugSetStallWakeup(Cycle wakeup) { debugStallWakeup_ = wakeup; }
 
     /** No resident blocks. */
     bool idle() const { return residentBlocks() == 0; }
@@ -159,15 +172,14 @@ class StreamingMultiprocessor
     const L1Cache &l1() const { return l1_; }
     LoadStoreUnit &lsu() { return lsu_; }
 
-    void setBlockCompleteHook(BlockCompleteHook hook)
-    {
-        onBlockComplete_ = std::move(hook);
-    }
-
+    /**
+     * Install a memory-issue gate. It must be pure within a cycle: the
+     * pass may ask it about any ready memory warp, and a warp it holds
+     * back counts as waiting.
+     */
     void setMemIssueFilter(MemIssueFilter filter)
     {
         memIssueFilter_ = std::move(filter);
-        stalledUntil_ = 0;
     }
 
     /**
@@ -219,25 +231,114 @@ class StreamingMultiprocessor
         std::uint64_t assignOrder = 0; ///< for youngest-first pausing
     };
 
+    /** One bit per warp slot. */
+    using WarpMask = std::uint64_t;
+
+    /** The state a warp slot is in for scheduling and counting. */
+    enum class WarpClass : std::uint8_t
+    {
+        Inactive,    ///< no warp in the slot (counted unaccounted)
+        Refill,      ///< instruction buffer empty; refilled when visited
+        Waiting,     ///< head stalled on loads or on its previous result
+        Draining,    ///< program done, loads outstanding (counts waiting)
+        Barrier,     ///< parked at a Sync
+        ReadyAlu,    ///< ALU/SFU head that can issue
+        ReadyShared, ///< shared-memory head, needs the smem pipe
+        ReadyMem,    ///< global/texture head, needs the LSU
+        Retire,      ///< program done, loads back, not yet retired
+        Retired,     ///< retired; waits for the rest of its block
+    };
+    static constexpr int numWarpClasses = 10;
+
+    /** A warp count per WarpClass. */
+    using ClassTally = std::array<int, numWarpClasses>;
+
     /** Warp range of a block slot. */
     int firstWarpOf(int slot) const { return slot * warpsPerBlock_; }
 
+    WarpMask
+    mask(WarpClass c) const
+    {
+        return classMask_[static_cast<std::size_t>(c)];
+    }
+
+    /** Mask of the slots of block slot @p slot. */
+    WarpMask
+    blockMask(int slot) const
+    {
+        return (~WarpMask{0} >> (64 - warpsPerBlock_)) << firstWarpOf(slot);
+    }
+
+    /** Set or clear the pause bit of block slot @p slot. */
+    void setBlockPaused(int slot, bool paused);
+
+    /** Move warp @p wid into class @p c. */
+    void setClass(int wid, WarpClass c);
+
+    /** Class of a warp slot from its state (schedules a readyAt wake). */
+    WarpClass classify(int wid);
+
+    void reclassify(int wid) { setClass(wid, classify(wid)); }
+
+    /** Recompute every derived structure from warps_ and blocks_. */
+    void rebuildWarpClasses();
+
+    /** Wake the warps in wheel slot @p now % 64 whose readyAt is @p now. */
+    void fireWheel(Cycle now);
+
+    /** Earliest cycle after cycle_ with a wheel entry, or noWakeup. */
+    Cycle nextWheelWakeup() const;
+
+    /** A load of warp @p wid returned (response drain or L1 hit). */
+    void loadReturned(WarpId wid);
+
     /**
-     * The dual-issue pass: refill, retire, park, classify and issue
-     * every warp, recording the cycle's counts in lastCounts_. Returns
-     * the earliest cycle at which an SM-local event (a result latency
-     * elapsing, the shared-memory pipe draining) could change a warp's
-     * classification, or 0 when the pass issued or freed a block slot.
+     * Unpaused warps the pass must visit with @p slots issue slots and
+     * @p reg_reads register reads left: those needing a refill or
+     * retirement, and the ready warps that could issue. Under a
+     * memory-issue filter every ready memory warp is visited.
      */
-    Cycle schedulePass();
+    WarpMask visitMask(int slots, int reg_reads, bool smem_free,
+                       bool lsu_free) const;
+
+    /**
+     * What a pass counts for the unpaused warps it skips, from their
+     * per-class tallies: readies count as excess, inactive slots as
+     * unaccounted. skippedCounts(liveCount_) is a pass that visits
+     * nobody.
+     */
+    static WarpStateCounts skippedCounts(const ClassTally &per_class);
+
+    /** skippedCounts() of the warps in @p range. */
+    WarpStateCounts rangeCounts(WarpMask range) const;
+
+    /**
+     * The dual-issue pass: start from the counts of a pass that visits
+     * nobody, then visit, in rotation order, the warps that need a
+     * refill, can retire or can issue, correcting the counts for each.
+     * The result goes to lastCounts_.
+     */
+    void schedulePass();
+
+    /** Per-pass issue resources. */
+    struct IssuePorts
+    {
+        int slots;
+        int regReads;
+        int firstIssued = -1;
+    };
+
+    /**
+     * One visited warp of the pass: refill, retire, park or issue.
+     * @p later holds the slots the rotation reaches after this one.
+     */
+    void visitWarp(int wid, WarpMask later, IssuePorts &ports,
+                   WarpStateCounts &counts);
 
     void refillInstruction(WarpSlot &w);
     void handleRetirement(WarpId wid);
-    /**
-     * Release each barrier that every live warp of its block reached;
-     * true when any was released.
-     */
-    bool releaseBarriers();
+    /** Release each barrier that every live warp of its block reached. */
+    void releaseBarriers();
     void applyPauseState();
 
     const GpuConfig &cfg_;
@@ -264,23 +365,21 @@ class StreamingMultiprocessor
     int greedyWarp_ = 0;///< GTO priority head
     Cycle smemBusyUntil_ = 0; ///< shared-memory pipe occupancy
 
-    BlockCompleteHook onBlockComplete_;
     MemIssueFilter memIssueFilter_;
     TraceRing *traceRing_ = nullptr;
 
     /// Test-only checkStalled() override (not serialized).
     std::optional<Cycle> debugStallWakeup_;
 
-    /**
-     * The stall verdict (docs/FAST_PATH.md): the last full tick's pass
-     * changed nothing, so every cycle before this one repeats its
-     * lastCounts_, as long as no memory response matures and the LSU
-     * head stays blocked; 0 for no verdict. Every external mutation
-     * that could unstall a warp (block assignment, target changes,
-     * policy hooks, restores) clears it. Not serialized: a restored SM
-     * runs one full tick first.
-     */
-    Cycle stalledUntil_ = 0;
+    // --- Derived warp-state engine (not serialized; see class comment).
+    std::array<WarpMask, numWarpClasses> classMask_{};
+    std::array<WarpClass, maxWarpSlots> warpClass_{};
+    /// Unpaused warps per class (inactive slots are never paused).
+    ClassTally liveCount_{};
+    WarpMask paused_ = 0;
+    /// readyAt wake-ups: slot readyAt % 64 holds the warps due then.
+    std::array<WarpMask, 64> wheel_{};
+    WarpMask wheelSlots_ = 0; ///< bit s: wheel_[s] is non-empty
 
     std::uint64_t issued_ = 0;
     std::uint64_t activeCycles_ = 0;

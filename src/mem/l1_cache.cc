@@ -86,17 +86,14 @@ L1Cache::skipBlockedCycles(Cycle n)
     blocked_ += n;
 }
 
-std::vector<WarpId>
-L1Cache::fill(Addr line_addr)
+void
+L1Cache::installLine(Addr line_addr, int owner)
 {
-    std::vector<WarpId> waiters = mshrs_.fill(line_addr);
     // Attribute the incoming line to its original requester so eviction
     // hooks (CCWS) can credit lost locality to the right warp.
-    const int owner = waiters.empty() ? -1 : waiters.front();
     auto evicted = tags_.insert(line_addr, owner);
     if (evicted && evictionHook_)
         evictionHook_(evicted->lineAddr, evicted->owner);
-    return waiters;
 }
 
 void

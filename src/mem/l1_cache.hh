@@ -64,10 +64,18 @@ class L1Cache
     Result access(WarpId warp, Addr line_addr, bool write);
 
     /**
-     * Install a returning line and retire its MSHR.
-     * @return Warps whose data arrived with this fill.
+     * Install a returning line and retire its MSHR, then hand each warp
+     * whose data arrived with this fill to @p fn, in merge order.
      */
-    std::vector<WarpId> fill(Addr line_addr);
+    template <class Fn>
+    void
+    fill(Addr line_addr, Fn &&fn)
+    {
+        const std::vector<WarpId> waiters = mshrs_.fill(line_addr);
+        installLine(line_addr, waiters.empty() ? -1 : waiters.front());
+        for (WarpId w : waiters)
+            fn(w);
+    }
 
     /** Probe tags without touching replacement state. */
     bool probe(Addr line_addr) const { return tags_.probe(line_addr); }
@@ -137,6 +145,9 @@ class L1Cache
     }
 
   private:
+    /** Insert a filled line owned by warp @p owner (-1: none). */
+    void installLine(Addr line_addr, int owner);
+
     SmId sm_;
     TagArray tags_;
     MshrFile mshrs_;

@@ -89,18 +89,18 @@ class MemorySystem
     std::vector<MemAccess> drainResponses(SmId sm, Cycle mem_now, int max_n);
 
     /**
-     * Whether drainResponses(sm, mem_now, ...) would return anything:
-     * the SM's response queue holds a head whose network delay has
-     * elapsed. Pure probe; the per-SM fast tick checks it every cycle
-     * (it is the one memory-side event that can unstall a cached-stall
-     * SM). Safe to call from the parallel SM phase: only SM @p sm reads
-     * its queue there, and pushes happen on memory ticks.
+     * Drain every completed load destined for @p sm whose network delay
+     * has elapsed by @p mem_now, handing each to @p fn in queue order,
+     * in place. SM @p sm's tick calls it in the parallel phase: only
+     * that SM consumes its queue, and pushes happen on memory ticks.
      */
-    bool
-    hasDrainableResponse(SmId sm, Cycle mem_now) const
+    template <class Fn>
+    void
+    drainReadyResponses(SmId sm, Cycle mem_now, Fn &&fn)
     {
-        return responseQueues_[static_cast<std::size_t>(sm)]->headReady(
-            mem_now);
+        auto &queue = *responseQueues_[static_cast<std::size_t>(sm)];
+        while (auto access = queue.popReady(mem_now))
+            fn(*access);
     }
 
     /** Invalidate all L2 partitions (kernel boundary). */

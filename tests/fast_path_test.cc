@@ -95,10 +95,12 @@ churnyEqualizer()
 /** Run a zoo application with the fast path on or off. */
 AppRunResult
 runApp(const std::string &kernel, int threads, bool fast_path,
-       const PolicySpec &policy)
+       const PolicySpec &policy,
+       SchedulerPolicy scheduler = SchedulerPolicy::LooseRoundRobin)
 {
     GpuConfig cfg = GpuConfig::gtx480();
     cfg.fastPath = fast_path;
+    cfg.scheduler = scheduler;
     ExperimentRunner runner(cfg, PowerConfig::gtx480(), threads);
     return runner.runByName(kernel, policy);
 }
@@ -128,7 +130,24 @@ struct IdentityCase
     int threads;
     /** Pinned baseline-policy SM cycles: a change here is a model change. */
     std::uint64_t smCycles;
+    /**
+     * Pinned warp-outcome totals, all seven fields: a miscounted
+     * barrier or unaccounted warp moves no cycle count.
+     */
+    WarpStateCounts outcomes;
 };
+
+void
+expectOutcomes(const WarpStateCounts &got, const WarpStateCounts &want)
+{
+    EXPECT_EQ(got.active, want.active);
+    EXPECT_EQ(got.waiting, want.waiting);
+    EXPECT_EQ(got.issued, want.issued);
+    EXPECT_EQ(got.excessAlu, want.excessAlu);
+    EXPECT_EQ(got.excessMem, want.excessMem);
+    EXPECT_EQ(got.barrier, want.barrier);
+    EXPECT_EQ(got.unaccounted, want.unaccounted);
+}
 
 // Keeps the listed test name free of pointer bytes (see table2_test.cc).
 void
@@ -150,7 +169,7 @@ class FastPathIdentity : public ::testing::TestWithParam<IdentityCase>
  */
 TEST_P(FastPathIdentity, MetricsMatchSlowPath)
 {
-    const auto [kernel, threads, sm_cycles] = GetParam();
+    const auto [kernel, threads, sm_cycles, outcomes] = GetParam();
     const AppRunResult fast =
         runApp(kernel, threads, true, policies::baseline());
     const AppRunResult slow =
@@ -158,6 +177,8 @@ TEST_P(FastPathIdentity, MetricsMatchSlowPath)
 
     EXPECT_EQ(jsonOf(kernel, fast), jsonOf(kernel, slow));
     EXPECT_EQ(fast.total.smCycles, sm_cycles);
+    expectOutcomes(fast.total.outcomeTotals, outcomes);
+    expectOutcomes(slow.total.outcomeTotals, outcomes);
 
     // Spot-check the raw fields behind the JSON, including exact double
     // equality on the energy totals (the fast path replays the same
@@ -171,10 +192,6 @@ TEST_P(FastPathIdentity, MetricsMatchSlowPath)
     EXPECT_EQ(fast.total.dramAccesses, slow.total.dramAccesses);
     EXPECT_EQ(fast.total.dramPowerDownFraction,
               slow.total.dramPowerDownFraction);
-    EXPECT_EQ(fast.total.outcomeTotals.waiting,
-              slow.total.outcomeTotals.waiting);
-    EXPECT_EQ(fast.total.outcomeTotals.issued,
-              slow.total.outcomeTotals.issued);
 
     // The diagnostic skip counter is the one permitted difference.
     EXPECT_EQ(slow.total.fastForwardedCycles, 0u);
@@ -191,21 +208,66 @@ TEST_P(FastPathIdentity, MetricsMatchSlowPathUnderEqualizer)
     EXPECT_EQ(jsonOf(c.kernel, fast), jsonOf(c.kernel, slow));
 }
 
+// {active, waiting, issued, excessAlu, excessMem, barrier, unaccounted}
+constexpr WarpStateCounts sgemmOutcomes{17180419, 4192851, 1440000, 11298164,
+                                        249404,   0,       190821};
+constexpr WarpStateCounts lbmOutcomes{70372816, 16887306, 192000, 619,
+                                      53292891, 0,        9228423};
+constexpr WarpStateCounts kmnOutcomes{182181157, 55889841, 580800, 22807,
+                                      125687709, 0,        26228753};
+constexpr WarpStateCounts stnclOutcomes{9558069, 6730967, 619920, 229775,
+                                        53412,   1923995, 3186902};
+
 INSTANTIATE_TEST_SUITE_P(
     KernelZoo, FastPathIdentity,
-    ::testing::Values(IdentityCase{"sgemm", 1, 48758},
-                      IdentityCase{"sgemm", 4, 48758},
-                      IdentityCase{"lbm", 1, 196839},
-                      IdentityCase{"lbm", 4, 196839},
-                      IdentityCase{"kmn", 1, 299943},
-                      IdentityCase{"kmn", 4, 299943},
+    ::testing::Values(IdentityCase{"sgemm", 1, 48758, sgemmOutcomes},
+                      IdentityCase{"sgemm", 4, 48758, sgemmOutcomes},
+                      IdentityCase{"lbm", 1, 196839, lbmOutcomes},
+                      IdentityCase{"lbm", 4, 196839, lbmOutcomes},
+                      IdentityCase{"kmn", 1, 299943, kmnOutcomes},
+                      IdentityCase{"kmn", 4, 299943, kmnOutcomes},
                       // stncl parks warps at barriers, and a barrier
-                      // release ends an SM's stall verdict.
-                      IdentityCase{"stncl", 1, 42682},
-                      IdentityCase{"stncl", 4, 42682}),
+                      // release wakes their warps.
+                      IdentityCase{"stncl", 1, 42682, stnclOutcomes},
+                      IdentityCase{"stncl", 4, 42682, stnclOutcomes}),
     [](const ::testing::TestParamInfo<IdentityCase> &i) {
         return std::string(i.param.kernel) + "_t" +
                std::to_string(i.param.threads);
+    });
+
+/**
+ * Greedy-then-oldest at zoo scale: the GTO priority head moves with
+ * every issue, so the visit order differs from round-robin on every
+ * cycle. Pinned cycles and outcome totals, and fast path == slow path.
+ */
+class GtoPinned : public ::testing::TestWithParam<IdentityCase>
+{
+};
+
+TEST_P(GtoPinned, MetricsMatchSlowPath)
+{
+    const IdentityCase &c = GetParam();
+    const auto gto = SchedulerPolicy::GreedyThenOldest;
+    const AppRunResult fast =
+        runApp(c.kernel, c.threads, true, policies::baseline(), gto);
+    const AppRunResult slow =
+        runApp(c.kernel, c.threads, false, policies::baseline(), gto);
+    EXPECT_EQ(jsonOf(c.kernel, fast), jsonOf(c.kernel, slow));
+    EXPECT_EQ(fast.total.smCycles, c.smCycles);
+    expectOutcomes(fast.total.outcomeTotals, c.outcomes);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelZoo, GtoPinned,
+    ::testing::Values(
+        IdentityCase{"kmn", 1, 288257,
+                     {174733122, 53321509, 580800, 23135, 120807678, 0,
+                      25408556}},
+        IdentityCase{"stncl", 1, 42134,
+                     {9492991, 6716704, 619920, 189064, 51350, 1915953,
+                      3086371}}),
+    [](const ::testing::TestParamInfo<IdentityCase> &i) {
+        return std::string(i.param.kernel);
     });
 
 /**
@@ -254,7 +316,7 @@ TEST(FastPathEngagement, FastForwardsAllStalledMachine)
 /**
  * Warps queued on a conflicted shared-memory pipe stall with no result
  * latency pending, so only the pipe draining (smemBusyUntil_) ends the
- * stall verdict: both tiers must wake exactly then.
+ * stall: the SM's stall wakeup must be exactly then.
  */
 TEST(FastPathEngagement, SharedPipeStallWakesWhenThePipeDrains)
 {
@@ -275,6 +337,31 @@ TEST(FastPathEngagement, SharedPipeStallWakesWhenThePipeDrains)
     EXPECT_EQ(fast.instructions, slow.instructions);
     EXPECT_EQ(fast.dynamicJoules, slow.dynamicJoules);
     EXPECT_EQ(fast.outcomeTotals.excessAlu, slow.outcomeTotals.excessAlu);
+}
+
+/**
+ * Result latencies longer than the SM's 64-slot readyAt wheel wrap it:
+ * each warp must wake exactly at its readyAt, not a lap early, with the
+ * whole-device skip on and off.
+ */
+TEST(FastPathEngagement, LongLatencyWrapsTheWakeupWheel)
+{
+    auto run_once = [](bool fast_path) {
+        GpuConfig cfg = smallGpu(2, fast_path);
+        cfg.sfuDepLatency = 150;
+        GpuTop gpu(cfg);
+        ScriptedKernel k = sfuChainKernel(2, /*insts=*/20);
+        return gpu.runKernel(k);
+    };
+    const RunMetrics fast = run_once(true);
+    const RunMetrics slow = run_once(false);
+
+    EXPECT_GT(fast.fastForwardedCycles, 0u);
+    EXPECT_EQ(fast.smCycles, slow.smCycles);
+    EXPECT_EQ(fast.instructions, slow.instructions);
+    EXPECT_EQ(fast.dynamicJoules, slow.dynamicJoules);
+    // 19 dependent SFU ops each wait out a 148-152 cycle latency.
+    EXPECT_GE(slow.smCycles, 19u * 148u);
 }
 
 /** fast_path=0 must fully disable both tiers. */
@@ -379,7 +466,7 @@ TEST(FastPathCheckpoint, MidSkipSaveRestoresIdentically)
 
 // --- Wakeup sanity -----------------------------------------------------
 
-/** Plants a stale debug stall verdict once the kernel is bound. */
+/** Plants a stale debug stall wakeup once the kernel is bound. */
 class StaleWakeupController : public GpuController
 {
   public:
@@ -401,9 +488,9 @@ class StaleWakeupController : public GpuController
 };
 
 /**
- * A stall verdict whose wakeup is not in the future is a corrupted
- * invariant; the fast-forward probe must die loudly rather than skip
- * (or spin) on it.
+ * A stall wakeup that is not in the future is a corrupted invariant;
+ * the fast-forward probe must die loudly rather than skip (or spin) on
+ * it.
  */
 TEST(FastPathDeath, PastWakeupIsFatal)
 {

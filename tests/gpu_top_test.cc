@@ -212,5 +212,16 @@ TEST(GpuTopDeath, CycleLimitPanics)
         "cycle limit");
 }
 
+/** Each warp slot is one bit of the SM's 64-bit warp-state masks. */
+TEST(GpuTopDeath, MoreThan64WarpSlotsIsFatal)
+{
+    GpuConfig cfg = smallGpu(1);
+    cfg.maxWarpsPerSm = 64;
+    GpuTop fits(cfg); // the limit itself is accepted
+    cfg.maxWarpsPerSm = 65;
+    EXPECT_EXIT(GpuTop{cfg}, ::testing::ExitedWithCode(1),
+                "maxWarpsPerSm = 65: an SM holds at most 64 warp slots");
+}
+
 } // namespace
 } // namespace equalizer

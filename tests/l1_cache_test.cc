@@ -23,6 +23,15 @@ class L1CacheTest : public ::testing::Test
     {
     }
 
+    /** Fill @p line; returns the warps it woke, in merge order. */
+    std::vector<WarpId>
+    fill(Addr line)
+    {
+        std::vector<WarpId> out;
+        l1.fill(line, [&out](WarpId w) { out.push_back(w); });
+        return out;
+    }
+
     MemConfig cfg = MemConfig::gtx480();
     BoundedQueue<MemAccess> queue;
     EnergyModel energy;
@@ -50,7 +59,7 @@ TEST_F(L1CacheTest, FillWakesAllWaitersAndCachesLine)
 {
     l1.access(0, 0x1000, false);
     l1.access(1, 0x1000, false);
-    const auto waiters = l1.fill(0x1000);
+    const auto waiters = fill(0x1000);
     ASSERT_EQ(waiters.size(), 2u);
     EXPECT_EQ(waiters[0], 0);
     EXPECT_EQ(waiters[1], 1);
@@ -120,7 +129,7 @@ TEST_F(L1CacheTest, EvictionHookSeesVictims)
     for (int i = 0; i < 5; ++i) {
         const Addr a = static_cast<Addr>(i) * 64 * 128;
         l1.access(static_cast<WarpId>(i), a, false);
-        l1.fill(a);
+        fill(a);
     }
     ASSERT_EQ(evictions.size(), 1u);
     EXPECT_EQ(evictions[0].first, 0u);
@@ -133,7 +142,7 @@ TEST_F(L1CacheTest, MissHookFiresOnEveryLoadMiss)
     l1.setMissHook([&miss_count](WarpId, Addr) { ++miss_count; });
     l1.access(0, 0x1000, false); // primary
     l1.access(1, 0x1000, false); // merged
-    l1.fill(0x1000);
+    fill(0x1000);
     l1.access(0, 0x1000, false); // hit: no callback
     EXPECT_EQ(miss_count, 2);
 }
@@ -141,7 +150,7 @@ TEST_F(L1CacheTest, MissHookFiresOnEveryLoadMiss)
 TEST_F(L1CacheTest, FlushDropsLinesAndMshrs)
 {
     l1.access(0, 0x1000, false);
-    l1.fill(0x1000);
+    fill(0x1000);
     l1.flush();
     EXPECT_EQ(l1.access(0, 0x1000, false), L1Cache::Result::MissIssued);
     EXPECT_EQ(l1.mshrOutstanding(), 1);
@@ -150,7 +159,7 @@ TEST_F(L1CacheTest, FlushDropsLinesAndMshrs)
 TEST_F(L1CacheTest, HitRateComputation)
 {
     l1.access(0, 0x1000, false);
-    l1.fill(0x1000);
+    fill(0x1000);
     l1.access(0, 0x1000, false);
     l1.access(0, 0x1000, false);
     EXPECT_NEAR(l1.hitRate(), 2.0 / 3.0, 1e-9);

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gpu/lsu.hh"
 #include "test_streams.hh"
 
@@ -24,6 +26,15 @@ class LsuTest : public ::testing::Test
           l1(cfg.mem, 0, mem.smInjectQueue(0), energy),
           lsu(cfg, 0, l1, mem)
     {
+    }
+
+    /** Warps whose L1-hit data the LSU hands back at @p now. */
+    std::vector<WarpId>
+    woken(Cycle now)
+    {
+        std::vector<WarpId> out;
+        lsu.drainHitWakeups(now, [&out](WarpId w) { out.push_back(w); });
+        return out;
     }
 
     GpuConfig cfg = GpuConfig::gtx480();
@@ -75,17 +86,17 @@ TEST_F(LsuTest, HitWakeupArrivesAfterL1Latency)
 {
     // Prime the line so the access hits.
     l1.access(9, 0x3000, false);
-    l1.fill(0x3000);
+    l1.fill(0x3000, [](WarpId) {});
 
     lsu.beginCycle();
     lsu.accept(3, loadInst(0x3000));
     lsu.tick(10);
-    EXPECT_TRUE(lsu.drainHitWakeups(10).empty());
+    EXPECT_TRUE(woken(10).empty());
     const Cycle ready = 10 + cfg.mem.l1HitLatency;
-    EXPECT_TRUE(lsu.drainHitWakeups(ready - 1).empty());
-    const auto woken = lsu.drainHitWakeups(ready);
-    ASSERT_EQ(woken.size(), 1u);
-    EXPECT_EQ(woken[0], 3);
+    EXPECT_TRUE(woken(ready - 1).empty());
+    const auto warps = woken(ready);
+    ASSERT_EQ(warps.size(), 1u);
+    EXPECT_EQ(warps[0], 3);
 }
 
 TEST_F(LsuTest, HeadBlocksWhenDownstreamFull)
@@ -136,7 +147,7 @@ TEST_F(LsuTest, MissesGoDownstreamNotToWakeups)
     lsu.accept(1, loadInst(0x8000));
     lsu.tick(1);
     EXPECT_EQ(mem.smInjectQueue(0).size(), 1u);
-    EXPECT_TRUE(lsu.drainHitWakeups(1000).empty());
+    EXPECT_TRUE(woken(1000).empty());
 }
 
 } // namespace

@@ -226,20 +226,14 @@ TEST_F(SmTest, WantsBlockHonorsTargetAndPausedBlocks)
     EXPECT_TRUE(sm.wantsBlock());
 }
 
-TEST_F(SmTest, BlockCompletionFreesSlotAndFiresHook)
+TEST_F(SmTest, BlockCompletionFreesSlot)
 {
-    std::vector<std::pair<SmId, BlockId>> completed;
-    sm.setBlockCompleteHook([&completed](SmId s, BlockId b) {
-        completed.emplace_back(s, b);
-    });
     ScriptedKernel k(info(10, 2, 2), {aluInst(), aluInst()});
     sm.setKernel(&k);
     sm.assignBlock(7);
     step(10);
-    ASSERT_EQ(completed.size(), 1u);
-    EXPECT_EQ(completed[0].first, 0);
-    EXPECT_EQ(completed[0].second, 7);
     EXPECT_TRUE(sm.idle());
+    EXPECT_TRUE(sm.hasFreeSlot());
     EXPECT_EQ(sm.blocksCompleted(), 1u);
 }
 
