@@ -800,6 +800,13 @@ main(int argc, char **argv)
     timing.row({"IPC (all SMs)", fmt(m.ipc(), 3)});
     timing.row({"fast-forwarded cycles",
                 std::to_string(m.fastForwardedCycles)});
+    timing.row({"SM ticks run",
+                std::to_string(m.smTicks) + " (" +
+                    pct(m.outcomeCycles
+                            ? static_cast<double>(m.smTicks) /
+                                  static_cast<double>(m.outcomeCycles)
+                            : 0.0) +
+                    " of SM cycles)"});
     timing.row({"invocations",
                 std::to_string(r.invocations.size())});
     timing.print();

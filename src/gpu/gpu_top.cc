@@ -50,9 +50,18 @@ GpuTop::GpuTop(GpuConfig cfg, PowerConfig power)
               "most ", StreamingMultiprocessor::maxWarpSlots,
               " warp slots (one bit each in its warp-state masks)");
     energy_.ensureSmShards(cfg_.numSms);
-    for (int s = 0; s < cfg_.numSms; ++s)
+    wakeAt_.assign(static_cast<std::size_t>(cfg_.numSms), 0);
+    for (int s = 0; s < cfg_.numSms; ++s) {
         sms_.push_back(std::make_unique<StreamingMultiprocessor>(
             cfg_, s, memSystem_, energy_));
+        sms_.back()->attachSleep(&smDomain_,
+                                 &wakeAt_[static_cast<std::size_t>(s)]);
+    }
+    // The pop frees room the sleeping SM's LSU is blocked on: its slept
+    // cycles were blocked retries, so settle them before the pop.
+    memSystem_.setFullPopHook([this](SmId s) {
+        sms_[static_cast<std::size_t>(s)]->wake();
+    });
     energy_.setDomainStates(smDomain_.state(), memDomain_.state());
     smInvocation_.assign(static_cast<std::size_t>(cfg_.numSms), -1);
     configureTenants({});
@@ -61,18 +70,58 @@ GpuTop::GpuTop(GpuConfig cfg, PowerConfig power)
 void
 GpuTop::tickSms(Cycle mem_now)
 {
-    // The parallel phase: SMs share no mutable state with each other
-    // (each owns its warps, L1, LSU, injection/response queues and
-    // energy shard), so they may tick concurrently. Everything after
-    // this call runs on the calling thread — the epoch barrier.
-    if (executor_ && executor_->threads() > 1) {
-        executor_->parallelFor(numSms(), [this, mem_now](int s) {
-            sms_[static_cast<std::size_t>(s)]->tick(mem_now);
-        });
-    } else {
-        for (const auto &sm : sms_)
-            sm->tick(mem_now);
+    const Cycle now = smDomain_.cycle();
+    auto due = [this, now, mem_now](int s) {
+        return wakeAt_[static_cast<std::size_t>(s)] <= now ||
+               memSystem_.responseReadyAt(s) <= mem_now;
+    };
+    const bool may_sleep = cfg_.fastPath && !observer_;
+    auto tick = [this, now, mem_now, may_sleep](int s) {
+        auto &sm = *sms_[static_cast<std::size_t>(s)];
+        sm.settle(now - 1);
+        sm.tick(mem_now);
+        wakeAt_[static_cast<std::size_t>(s)] =
+            may_sleep ? sm.sleepWakeup() : 0;
+    };
+
+    if (!executor_ || executor_->threads() == 1) {
+        for (int s = 0; s < numSms(); ++s) {
+            if (due(s)) {
+                ++smTicks_;
+                tick(s);
+            }
+        }
+        return;
     }
+    // The parallel phase: SMs share no mutable state with each other
+    // (each owns its warps, L1, LSU, injection/response queues, energy
+    // shard and wake slot), so the due ones may tick concurrently.
+    // Everything after this call runs on the calling thread — the
+    // epoch barrier.
+    awake_.clear();
+    for (int s = 0; s < numSms(); ++s)
+        if (due(s))
+            awake_.push_back(s);
+    smTicks_ += awake_.size();
+    const int n = static_cast<int>(awake_.size());
+    executor_->parallelFor(n, [this, &tick](int i) {
+        tick(awake_[static_cast<std::size_t>(i)]);
+    });
+}
+
+void
+GpuTop::settleSms()
+{
+    for (const auto &sm : sms_)
+        sm->settle(smDomain_.cycle());
+}
+
+void
+GpuTop::setCycleObserver(std::function<void(GpuTop &)> observer)
+{
+    for (const auto &sm : sms_)
+        sm->wake();
+    observer_ = std::move(observer);
 }
 
 void
@@ -426,8 +475,9 @@ GpuTop::serviceTenants()
 }
 
 GpuTop::Snapshot
-GpuTop::takeSnapshot() const
+GpuTop::takeSnapshot()
 {
+    settleSms();
     Snapshot s;
     s.smCycles = smDomain_.cycle();
     s.memCycles = memDomain_.cycle();
@@ -460,15 +510,21 @@ GpuTop::beginRun(const std::string &label, Cycle max_sm_cycles)
     run_.cycleLimit = smDomain_.cycle() + max_sm_cycles;
     run_.active = true;
     ffAtRunStart_ = fastForwardedCycles_;
+    ticksAtRunStart_ = smTicks_;
 }
 
 bool
 GpuTop::tryFastForward(Cycle sm_stop)
 {
-    // A per-cycle observer may read (or mutate) anything; never skip
-    // an edge it would have seen.
-    if (observer_)
-        return false;
+    // Every SM asleep; the earliest wake cycle bounds the span. (A
+    // per-cycle observer keeps every SM awake, so no edge it would
+    // have seen is skipped.)
+    Cycle sm_wakeup = noWakeup;
+    for (const Cycle w : wakeAt_) {
+        if (w == 0)
+            return false;
+        sm_wakeup = std::min(sm_wakeup, w);
+    }
 
     // Multi-tenant runs (explicit partitions, queued relaunches or
     // several in-flight invocations) take the slow path outright: the
@@ -477,41 +533,14 @@ GpuTop::tryFastForward(Cycle sm_stop)
         invocations_.size() != 1)
         return false;
 
-    const Cycle sm_now = smDomain_.cycle();
-    if (sm_now < ffBackoffUntil_)
-        return false;
-    // Deterministic backoff: a failed probe in a busy phase doubles the
-    // re-probe distance (capped low — stall onsets must not be missed
-    // by much). Purely a probe-cost throttle: skips are transparent, so
-    // when the probe runs has no effect on any simulated quantity.
-    const auto fail = [&] {
-        ffBackoffUntil_ = sm_now + ffBackoff_;
-        ffBackoff_ = std::min<Cycle>(ffBackoff_ * 2, 32);
-        return false;
-    };
-
     // The controller's next possible action bounds the span; the
     // default (0) is a standing veto for policies without the hook.
+    const Cycle sm_now = smDomain_.cycle();
     const Cycle ctrl_bound =
         controller_ ? controller_->nextActionCycle(*this, sm_now)
                     : noWakeup;
     if (ctrl_bound <= sm_now)
-        return fail();
-
-    // Per-SM stall probes in fixed index order, so the decision (and
-    // the min-reduce below) is identical at any threads= setting.
-    Cycle sm_wakeup = noWakeup;
-    for (int s = 0; s < numSms(); ++s) {
-        const auto chk = sms_[static_cast<std::size_t>(s)]->checkStalled();
-        if (!chk.skippable)
-            return fail();
-        if (chk.wakeup <= sm_now)
-            fatal("fast path: SM ", s, " reported stall wakeup ",
-                  chk.wakeup, " at cycle ", sm_now,
-                  " (not in the future); rerun with fast_path=0 and "
-                  "diff traces — see docs/FAST_PATH.md");
-        sm_wakeup = std::min(sm_wakeup, chk.wakeup);
-    }
+        return false;
 
     // Safety net: pending work the barrier phase would distribute means
     // the machine is not quiescent. (Normally unreachable — the last
@@ -520,12 +549,12 @@ GpuTop::tryFastForward(Cycle sm_stop)
     if (inv.active() && inv.gwde().hasBlocks())
         for (const auto &sm : sms_)
             if (sm->wantsBlock())
-                return fail();
+                return false;
 
     const Cycle mem_now = memDomain_.cycle();
     const Cycle mem_ev = memSystem_.nextEventCycle(mem_now);
     if (mem_ev <= mem_now)
-        return fail(); // hard veto: a matured response awaits an SM tick
+        return false; // hard veto: a matured response awaits an SM tick
 
     Cycle sm_bound = std::min(sm_wakeup, ctrl_bound);
     if (tracer_ && tracer_->attached()) {
@@ -554,17 +583,12 @@ GpuTop::tryFastForward(Cycle sm_stop)
     const Cycle n_mem = edgesBefore(memDomain_, tstar);
     const Cycle n_sm = edgesBefore(smDomain_, tstar);
     if (n_mem == 0 && n_sm == 0)
-        return fail();
+        return false;
 
     memDomain_.advanceCycles(n_mem);
     memSystem_.skipCycles(mem_now, n_mem);
     smDomain_.advanceCycles(n_sm);
-    if (n_sm > 0)
-        for (const auto &sm : sms_)
-            sm->skipCycles(n_sm);
     fastForwardedCycles_ += n_sm;
-    ffBackoff_ = 1;
-    ffBackoffUntil_ = 0;
     return true;
 }
 
@@ -639,6 +663,7 @@ GpuTop::finishRun()
     m.dramAccesses = after.dramAccesses - before.dramAccesses;
     m.dramRowHits = after.dramRowHits - before.dramRowHits;
     m.fastForwardedCycles = fastForwardedCycles_ - ffAtRunStart_;
+    m.smTicks = smTicks_ - ticksAtRunStart_;
     return m;
 }
 

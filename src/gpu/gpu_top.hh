@@ -66,6 +66,10 @@ class GpuTop
     explicit GpuTop(GpuConfig cfg = GpuConfig::gtx480(),
                     PowerConfig power = PowerConfig::gtx480());
 
+    // Its SMs and memory system hold pointers into it.
+    GpuTop(const GpuTop &) = delete;
+    GpuTop &operator=(const GpuTop &) = delete;
+
     /** Install the runtime policy (non-owning; may be nullptr). */
     void setController(GpuController *controller)
     {
@@ -101,12 +105,10 @@ class GpuTop
 
     /**
      * Install a per-SM-cycle observer (tracing for figures). Runs after
-     * the controller hook.
+     * the controller hook. It may read anything, so while one is
+     * installed every SM ticks every cycle.
      */
-    void setCycleObserver(std::function<void(GpuTop &)> observer)
-    {
-        observer_ = std::move(observer);
-    }
+    void setCycleObserver(std::function<void(GpuTop &)> observer);
 
     /**
      * Install the epoch-level tracer (non-owning; nullptr detaches).
@@ -328,21 +330,34 @@ class GpuTop
         Cycle cycleLimit = 0;
     };
 
-    Snapshot takeSnapshot() const;
+    /** Settles every SM, so the snapshot reads no sleeper's lag. */
+    Snapshot takeSnapshot();
     void distributeBlocks();
     bool allDone() const;
-    void tickSms(Cycle mem_now);
 
     /**
-     * The cycle-skipping fast path (docs/FAST_PATH.md): when every SM
-     * is provably stalled and the memory system provably quiet, compute
-     * a conservative global bound (SM wakeups, memory deadlines,
+     * Tick the SMs that are due at this edge, in index order: awake
+     * ones, and sleepers whose wake cycle has come or whose response
+     * queue head is ready by @p mem_now. A sleeper is settled to the
+     * previous cycle first. After its tick an SM goes to sleep when
+     * sleepWakeup() says so (fast path on, no observer).
+     */
+    void tickSms(Cycle mem_now);
+
+    /** Credit every sleeping SM's lag, leaving it asleep. */
+    void settleSms();
+
+    /**
+     * The whole-device jump of the fast path (docs/FAST_PATH.md): when
+     * every SM is asleep and the memory system provably quiet, compute
+     * a conservative global bound (SM wake cycles, memory deadlines,
      * controller actions, tracer epoch boundaries, the cycle limit, VF
      * transitions) and fire all clock edges strictly before it at once,
-     * replaying their per-cycle bookkeeping analytically. Returns true
-     * when at least one edge was skipped. Bit-identical to ticking by
-     * construction; the caller re-enters the normal loop either way.
-     * Vetoed outright during multi-tenant runs (docs/MULTI_TENANT.md).
+     * replaying the memory side's per-cycle bookkeeping analytically;
+     * the sleeping SMs settle lazily. Returns true when at least one
+     * edge was skipped. Bit-identical to ticking by construction; the
+     * caller re-enters the normal loop either way. Vetoed outright
+     * during multi-tenant runs (docs/MULTI_TENANT.md).
      *
      * @param sm_stop Absolute SM cycle of the caller's quantum
      *     boundary (noWakeup = unbounded): a skip may land exactly on
@@ -420,13 +435,16 @@ class GpuTop
     std::string currentKernelName_;
     RunContext run_;
 
-    // --- Fast-path bookkeeping (none of it serialized: skips are
-    // transparent, so the skip pattern may differ across a
+    // --- Fast-path bookkeeping (none of it serialized: sleep and skips
+    // are transparent, so their pattern may differ across a
     // checkpoint/restore while every simulated quantity stays equal).
+    /// Per SM: the SM cycle a sleeping SM next ticks at, 0 when awake.
+    std::vector<Cycle> wakeAt_;
+    std::vector<int> awake_; ///< SMs ticked at this edge (reused)
     Cycle fastForwardedCycles_ = 0;
     Cycle ffAtRunStart_ = 0;  ///< counter value at beginRun()
-    Cycle ffBackoffUntil_ = 0;///< SM cycle before which probes are skipped
-    Cycle ffBackoff_ = 1;     ///< current backoff span (doubles to 32)
+    std::uint64_t smTicks_ = 0; ///< SM ticks run (RunMetrics::smTicks)
+    std::uint64_t ticksAtRunStart_ = 0;
 };
 
 } // namespace equalizer

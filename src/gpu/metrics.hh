@@ -53,6 +53,13 @@ struct RunMetrics
      */
     Cycle fastForwardedCycles = 0;
 
+    /**
+     * SM ticks actually run, summed over SMs: the rest of the
+     * smCycles x SMs were slept or fast-forwarded. Diagnostic only, like
+     * fastForwardedCycles.
+     */
+    std::uint64_t smTicks = 0;
+
     /// Time at each VF state, per domain (for Figure 9).
     std::array<Tick, numVfStates> smResidency{};
     std::array<Tick, numVfStates> memResidency{};
@@ -91,6 +98,7 @@ struct RunMetrics
         dramAccesses += o.dramAccesses;
         dramRowHits += o.dramRowHits;
         fastForwardedCycles += o.fastForwardedCycles;
+        smTicks += o.smTicks;
         // Time-weighted combine of the power-down fraction.
         const Cycle mc = memCycles; // already includes o.memCycles
         if (mc > 0) {

@@ -140,10 +140,15 @@ SchedulerCore::step(Cycle n_cycles)
     // Pausing between iterations is state-neutral, so any step()
     // partition of a run is bit-identical to run-to-completion.
     while (true) {
-        if (g.allDone())
+        // A paused device is settled: callers see no sleeper's lag.
+        if (g.allDone()) {
+            g.settleSms();
             return StepStatus::Drained;
-        if (stop != noWakeup && g.smDomain_.cycle() >= stop)
+        }
+        if (stop != noWakeup && g.smDomain_.cycle() >= stop) {
+            g.settleSms();
             return StepStatus::Running;
+        }
         if (g.cfg_.fastPath && g.tryFastForward(stop))
             continue;
         if (g.memDomain_.nextEdge() <= g.smDomain_.nextEdge()) {
@@ -152,6 +157,11 @@ SchedulerCore::step(Cycle n_cycles)
                                       g.memDomain_.state());
             g.memSystem_.tick(g.memDomain_.cycle());
         } else {
+            // Sleepers' lag is priced at the SM voltage it was spent at,
+            // so credit it before a VF change applies at this edge.
+            if (g.smDomain_.transitionPending() &&
+                g.smDomain_.pendingAt() <= g.smDomain_.nextEdge())
+                g.settleSms();
             g.smDomain_.advance();
             g.energy_.setDomainStates(g.smDomain_.state(),
                                       g.memDomain_.state());

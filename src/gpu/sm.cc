@@ -51,6 +51,7 @@ forEachBit(std::uint64_t m, Fn &&fn)
 void
 StreamingMultiprocessor::setKernel(const KernelLaunch *kernel)
 {
+    wake();
     kernel_ = kernel;
     warpsPerBlock_ = std::max(1, kernel->info().warpsPerBlock);
     const int by_occupancy = kernel->info().maxBlocksPerSm;
@@ -246,6 +247,7 @@ void
 StreamingMultiprocessor::assignBlock(BlockId block)
 {
     EQ_ASSERT(hasFreeSlot(), "assignBlock with no free slot on SM ", id_);
+    wake();
     const int slot =
         std::countr_zero(mask(WarpClass::Inactive)) / warpsPerBlock_;
 
@@ -272,6 +274,7 @@ StreamingMultiprocessor::assignBlock(BlockId block)
 void
 StreamingMultiprocessor::setTargetBlocks(int target)
 {
+    wake();
     targetBlocks_ = std::clamp(target, 1, blockSlots_);
     applyPauseState();
 }
@@ -677,15 +680,42 @@ StreamingMultiprocessor::skipCycles(Cycle n)
         activeCycles_ += n;
 }
 
+Cycle
+StreamingMultiprocessor::stalledWakeup() const
+{
+    const StallCheck chk = checkStalled();
+    if (!chk.skippable)
+        return 0;
+    if (chk.wakeup <= cycle_)
+        fatal("SM ", id_, " reported stall wakeup ", chk.wakeup,
+              " at cycle ", cycle_, " (not in the future); rerun with "
+              "fast_path=0 and diff traces — see docs/FAST_PATH.md");
+    return chk.wakeup;
+}
+
+void
+StreamingMultiprocessor::wake()
+{
+    if (!wakeAt_)
+        return;
+    settle(clock_->cycle());
+    *wakeAt_ = 0;
+}
+
 WarpStateCounts
 StreamingMultiprocessor::sampleStates() const
 {
+    // Lagging the device clock means asleep: each slept cycle repeats a
+    // pass that visits nobody.
+    if (clock_ && cycle_ < clock_->cycle())
+        return skippedCounts(liveCount_);
     return lastCounts_;
 }
 
 void
 StreamingMultiprocessor::resetStats()
 {
+    wake();
     issued_ = 0;
     activeCycles_ = 0;
     blocksCompleted_ = 0;
@@ -695,6 +725,13 @@ StreamingMultiprocessor::resetStats()
 void
 StreamingMultiprocessor::visitState(StateVisitor &v)
 {
+    // A save reads settled state; a load replaces it, awake.
+    if (wakeAt_) {
+        if (v.saving())
+            settle(clock_->cycle());
+        else
+            *wakeAt_ = 0;
+    }
     // v2: warp slots no longer carry a per-cycle outcome.
     v.beginSection("sm", 2);
     v.expectMatch(id_, "SM id");
@@ -738,6 +775,7 @@ void
 StreamingMultiprocessor::rebindKernel(const KernelLaunch *kernel)
 {
     EQ_ASSERT(kernel, "rebindKernel needs a kernel");
+    wake();
     const int wpb = std::max(1, kernel->info().warpsPerBlock);
     const int by_occupancy = kernel->info().maxBlocksPerSm;
     const int by_warps = cfg_.maxWarpsPerSm / wpb;

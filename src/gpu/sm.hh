@@ -22,6 +22,7 @@
 #include "mem/l1_cache.hh"
 #include "mem/memory_system.hh"
 #include "power/energy_model.hh"
+#include "sim/clock_domain.hh"
 #include "trace/ring_buffer.hh"
 
 namespace equalizer
@@ -56,6 +57,12 @@ namespace equalizer
  * rebuilt from the warp slots on setKernel and on a restore. The fast path
  * (docs/FAST_PATH.md) asks the same masks whether a cycle can change
  * anything.
+ *
+ * In a device the SM sleeps while it is stalled (attachSleep): the
+ * device stops ticking it and its cycle() lags the device clock until
+ * settle() credits the lag. Every writer below settles and wakes the SM
+ * first, so callers never see the lag except through sampleStates(),
+ * which answers for the cycles the SM slept through.
  */
 class StreamingMultiprocessor
 {
@@ -115,50 +122,56 @@ class StreamingMultiprocessor
     /** Advance one SM cycle. @param mem_now current memory-domain cycle. */
     void tick(Cycle mem_now);
 
-    // --- Fast-path support (docs/FAST_PATH.md).
-
-    /** Result of checkStalled(). */
-    struct StallCheck
-    {
-        /** Every warp is provably stalled through the next cycle. */
-        bool skippable = false;
-
-        /**
-         * Earliest SM cycle at which some warp might unstall for an
-         * SM-local reason (scoreboard release, shared-memory pipe
-         * drain, L1 hit-wakeup maturing); noWakeup when every stall is
-         * bound by memory-system events or epoch boundaries instead.
-         * Meaningful only when skippable.
-         */
-        Cycle wakeup = noWakeup;
-    };
-
-    /**
-     * Whether the next tick would provably change nothing except the
-     * per-cycle bookkeeping that skipCycles() replays, answered from
-     * live engine state: no unpaused warp needs a refill, can retire or
-     * could issue, no memory-issue filter is installed, and the LSU
-     * head is blocked. Memory responses are the caller's to check.
-     * Pure probe.
-     */
-    StallCheck checkStalled() const;
-
-    /**
-     * Replay @p n fully-stalled ticks: cycle count, scheduler rotation,
-     * the per-cycle counter accumulation, LSU blocked-head bookkeeping
-     * and active-cycle accounting. Only valid when checkStalled()
-     * reported skippable and every replayed cycle is strictly below its
-     * wakeup (and any memory-side bound).
-     */
-    void skipCycles(Cycle n);
-
     /**
      * Test seam: force checkStalled() to report skippable with the
      * given wakeup, bypassing the real probe. Lets tests exercise the
-     * fast path's wakeup-consistency check (which aborts on a wakeup
+     * sleep entry's wakeup-consistency check (which aborts on a wakeup
      * in the past). reset by setKernel().
      */
-    void debugSetStallWakeup(Cycle wakeup) { debugStallWakeup_ = wakeup; }
+    void
+    debugSetStallWakeup(Cycle wakeup)
+    {
+        wake();
+        debugStallWakeup_ = wakeup;
+    }
+
+    // --- Sleep (docs/FAST_PATH.md, tier 1).
+
+    /**
+     * Let a device put this SM to sleep. @p clock is the device's SM
+     * clock and @p wake_at the device's wake-cycle slot for this SM:
+     * the device fills it from sleepWakeup() after each tick and sleeps
+     * the SM while it is not yet due; wake() sets it to 0 (awake).
+     */
+    void
+    attachSleep(const ClockDomain *clock, Cycle *wake_at)
+    {
+        clock_ = clock;
+        wakeAt_ = wake_at;
+    }
+
+    /**
+     * After tick(): the SM cycle to sleep until, or 0 to stay awake. The
+     * SM sleeps when the tick issued nothing and checkStalled() is
+     * skippable; noWakeup means until a memory-side event or a writer
+     * wakes it. A wakeup not in the future is fatal.
+     */
+    Cycle
+    sleepWakeup() const
+    {
+        return lastCounts_.issued > 0 ? 0 : stalledWakeup();
+    }
+
+    /** Credit the slept cycles up to SM cycle @p upto (skipCycles). */
+    void
+    settle(Cycle upto)
+    {
+        if (cycle_ < upto)
+            skipCycles(upto - cycle_);
+    }
+
+    /** Settle to the device clock and mark the SM awake. */
+    void wake();
 
     /** No resident blocks. */
     bool idle() const { return residentBlocks() == 0; }
@@ -179,6 +192,7 @@ class StreamingMultiprocessor
      */
     void setMemIssueFilter(MemIssueFilter filter)
     {
+        wake();
         memIssueFilter_ = std::move(filter);
     }
 
@@ -222,6 +236,43 @@ class StreamingMultiprocessor
     }
 
   private:
+    // --- Stall probe and replay behind sleep (docs/FAST_PATH.md).
+
+    /** Result of checkStalled(). */
+    struct StallCheck
+    {
+        /** Every warp is provably stalled through the next cycle. */
+        bool skippable = false;
+
+        /**
+         * Earliest SM cycle at which some warp might unstall for an
+         * SM-local reason (scoreboard release, shared-memory pipe
+         * drain, L1 hit-wakeup maturing); noWakeup when every stall is
+         * bound by memory-system events or epoch boundaries instead.
+         * Meaningful only when skippable.
+         */
+        Cycle wakeup = noWakeup;
+    };
+
+    /**
+     * Whether the next tick would provably change nothing except the
+     * per-cycle bookkeeping that skipCycles() replays, answered from
+     * live engine state: no unpaused warp needs a refill, can retire or
+     * could issue, no memory-issue filter is installed, and the LSU
+     * head is blocked. Memory responses are the caller's to check.
+     * Pure probe.
+     */
+    StallCheck checkStalled() const;
+
+    /**
+     * Replay @p n fully-stalled ticks: cycle count, scheduler rotation,
+     * the per-cycle counter accumulation, LSU blocked-head bookkeeping
+     * and active-cycle accounting. Only valid when checkStalled()
+     * reported skippable and every replayed cycle is strictly below its
+     * wakeup (and any memory-side bound).
+     */
+    void skipCycles(Cycle n);
+
     struct BlockSlot
     {
         bool occupied = false;
@@ -279,6 +330,9 @@ class StreamingMultiprocessor
     WarpClass classify(int wid);
 
     void reclassify(int wid) { setClass(wid, classify(wid)); }
+
+    /** sleepWakeup() after a tick that issued nothing. */
+    Cycle stalledWakeup() const;
 
     /** Recompute every derived structure from warps_ and blocks_. */
     void rebuildWarpClasses();
@@ -367,6 +421,10 @@ class StreamingMultiprocessor
 
     MemIssueFilter memIssueFilter_;
     TraceRing *traceRing_ = nullptr;
+
+    /// Sleep bookkeeping of the owning device (attachSleep).
+    const ClockDomain *clock_ = nullptr;
+    Cycle *wakeAt_ = nullptr;
 
     /// Test-only checkStalled() override (not serialized).
     std::optional<Cycle> debugStallWakeup_;

@@ -17,6 +17,7 @@ MemorySystem::MemorySystem(const MemConfig &cfg, int num_sms,
         responseQueues_.push_back(std::make_unique<DelayQueue<MemAccess>>(
             cfg_.smResponseQueueCap));
     }
+    responseReadyAt_.assign(static_cast<std::size_t>(num_sms), noWakeup);
     for (int p = 0; p < cfg_.numPartitions; ++p)
         partitions_.push_back(std::make_unique<L2Partition>(cfg_, p, energy));
 }
@@ -55,6 +56,8 @@ MemorySystem::tick(Cycle now)
                              ->input();
             if (dest.full())
                 continue; // head-of-line block for this queue
+            if (queue->full() && fullPopHook_)
+                fullPopHook_(sm);
             MemAccess access = *queue->pop();
             dest.push(access, now + cfg_.nocRequestLatency);
             // A read request is one address flit; a write carries a line
@@ -80,6 +83,9 @@ MemorySystem::tick(Cycle now)
             if (dest.full())
                 break; // head-of-line block for this partition
             MemAccess access = *out.popReady(now);
+            if (dest.empty())
+                responseReadyAt_[static_cast<std::size_t>(access.sm)] =
+                    now + cfg_.nocResponseLatency;
             dest.push(access, now + cfg_.nocResponseLatency);
             energy_.record(EnergyEvent::NocFlit, 5);
             --response_budget;
@@ -100,10 +106,7 @@ MemorySystem::nextEventCycle(Cycle now) const
     // matures at the memory edge of its readyAt cycle; bounding the
     // span there keeps every skipped SM edge strictly before the first
     // tick that could drain it.
-    for (const auto &q : responseQueues_) {
-        if (q->empty())
-            continue;
-        const Cycle ready = q->headReadyAt();
+    for (const Cycle ready : responseReadyAt_) {
         if (ready <= now)
             return now; // hard veto
         bound = std::min(bound, ready);
@@ -187,6 +190,7 @@ MemorySystem::drainResponses(SmId sm, Cycle mem_now, int max_n)
             break;
         out.push_back(*access);
     }
+    noteResponseHead(sm);
     return out;
 }
 
@@ -271,6 +275,9 @@ MemorySystem::visitState(StateVisitor &v)
     v.field(dramQueueDepthSum_);
     v.field(tickCount_);
     v.endSection();
+    if (!v.saving())
+        for (int sm = 0; sm < numSms_; ++sm)
+            noteResponseHead(sm);
 }
 
 } // namespace equalizer

@@ -9,6 +9,7 @@
 #define EQ_MEM_MEMORY_SYSTEM_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -36,6 +37,9 @@ namespace equalizer
 class MemorySystem
 {
   public:
+    /** Called with an SM's id before a pop frees room in its full queue. */
+    using FullPopHook = std::function<void(SmId)>;
+
     MemorySystem(const MemConfig &cfg, int num_sms, EnergyModel &energy);
 
     /** L1-miss/store injection FIFO of one SM. */
@@ -52,6 +56,25 @@ class MemorySystem
 
     /** Advance the memory system by one memory-domain cycle. */
     void tick(Cycle now);
+
+    /**
+     * Install the hook the request network calls before it pops from a
+     * full injection or texture queue: the pop unblocks that SM's LSU,
+     * so a sleeping SM must be settled and woken first
+     * (docs/FAST_PATH.md).
+     */
+    void setFullPopHook(FullPopHook hook) { fullPopHook_ = std::move(hook); }
+
+    /**
+     * Memory cycle at which the head of SM @p sm's response queue is
+     * ready, or noWakeup when the queue is empty: a sleeping SM wakes
+     * at the first SM edge where this is at or before the memory clock.
+     */
+    Cycle
+    responseReadyAt(SmId sm) const
+    {
+        return responseReadyAt_[static_cast<std::size_t>(sm)];
+    }
 
     // --- Fast-path support (docs/FAST_PATH.md).
 
@@ -98,9 +121,12 @@ class MemorySystem
     void
     drainReadyResponses(SmId sm, Cycle mem_now, Fn &&fn)
     {
+        if (responseReadyAt(sm) > mem_now)
+            return;
         auto &queue = *responseQueues_[static_cast<std::size_t>(sm)];
         while (auto access = queue.popReady(mem_now))
             fn(*access);
+        noteResponseHead(sm);
     }
 
     /** Invalidate all L2 partitions (kernel boundary). */
@@ -130,6 +156,15 @@ class MemorySystem
   private:
     int partitionOf(Addr line_addr) const;
 
+    /** Refresh responseReadyAt_[sm] from its queue's head. */
+    void
+    noteResponseHead(SmId sm)
+    {
+        const auto &queue = *responseQueues_[static_cast<std::size_t>(sm)];
+        responseReadyAt_[static_cast<std::size_t>(sm)] =
+            queue.empty() ? noWakeup : queue.headReadyAt();
+    }
+
     const MemConfig cfg_;
     EnergyModel &energy_;
     int numSms_;
@@ -140,6 +175,12 @@ class MemorySystem
 
     /// Response network: one delayed FIFO per SM.
     std::vector<std::unique_ptr<DelayQueue<MemAccess>>> responseQueues_;
+
+    /// Head readyAt of each response queue (noWakeup: empty). Derived
+    /// state, never serialized.
+    std::vector<Cycle> responseReadyAt_;
+
+    FullPopHook fullPopHook_;
 
     /// Round-robin pointers for fair arbitration.
     int rrSm_ = 0;

@@ -2,13 +2,16 @@
  * @file
  * Tests for the cycle-skipping fast path (docs/FAST_PATH.md): bit
  * identity of metrics, energy and traces against the slow path at any
- * thread count, engagement of the whole-device fast-forward on a fully
- * stalled machine, checkpointing out of a skip-heavy run, replication
- * of time-averaged memory gauges, and the wakeup-sanity fatal.
+ * thread count, SM sleep and its wake sources, engagement of the
+ * whole-device fast-forward on a fully stalled machine, checkpointing
+ * out of a skip-heavy run, replication of time-averaged memory gauges,
+ * and the wakeup-sanity fatal.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -32,6 +35,9 @@ namespace
 
 using testing::ScriptedKernel;
 using testing::aluInst;
+using testing::loadInst;
+using testing::loadUse;
+using testing::storeInst;
 
 KernelInfo
 info(int blocks, int wcta, int max_blocks, const char *name = "fp")
@@ -271,6 +277,65 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 /**
+ * Policies that act on SM state while SMs sleep. DynCTA reads every
+ * SM's sampleStates() every cycle and moves block targets, so a sleeper
+ * must answer for the cycles it slept through. equalizer-energy moves
+ * the SM clock's VF state mid-run, so each slept cycle's blocked L1
+ * retry must be priced at the voltage it was spent at. Pinned cycles and
+ * outcome totals, and fast path == slow path.
+ */
+struct PolicyCase
+{
+    const char *kernel;
+    const char *policy;
+    std::uint64_t smCycles;
+    WarpStateCounts outcomes;
+};
+
+void
+PrintTo(const PolicyCase &c, std::ostream *os)
+{
+    *os << c.kernel << " policy=" << c.policy;
+}
+
+class PolicyPinned : public ::testing::TestWithParam<PolicyCase>
+{
+};
+
+TEST_P(PolicyPinned, MetricsMatchSlowPath)
+{
+    const PolicyCase &c = GetParam();
+    const PolicySpec policy = policies::byName(c.policy);
+    const AppRunResult fast = runApp(c.kernel, 1, true, policy);
+    const AppRunResult slow = runApp(c.kernel, 1, false, policy);
+    EXPECT_EQ(jsonOf(c.kernel, fast), jsonOf(c.kernel, slow));
+    EXPECT_EQ(fast.total.dynamicJoules, slow.total.dynamicJoules);
+    EXPECT_EQ(fast.total.smCycles, c.smCycles);
+    expectOutcomes(fast.total.outcomeTotals, c.outcomes);
+    expectOutcomes(slow.total.outcomeTotals, c.outcomes);
+    EXPECT_LT(fast.total.smTicks, slow.total.smTicks);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KernelZoo, PolicyPinned,
+    ::testing::Values(
+        PolicyCase{"lbm", "dyncta", 205473,
+                   {69929865, 16636909, 192000, 407, 53100549, 0,
+                    12963219}},
+        PolicyCase{"kmn", "dyncta", 251583,
+                   {150987844, 45718669, 580800, 19273, 104669102, 0,
+                    24782423}},
+        PolicyCase{"lbm", "equalizer-energy", 165220,
+                   {30744613, 14122659, 192000, 430, 16429524, 0,
+                    22317889}}),
+    [](const ::testing::TestParamInfo<PolicyCase> &i) {
+        std::string name = std::string(i.param.kernel) + "_" +
+                           i.param.policy;
+        std::replace(name.begin(), name.end(), '-', '_');
+        return name;
+    });
+
+/**
  * Epoch traces are part of the identity contract too: a traced run
  * (which clamps whole-device skips to epoch boundaries) must serialize
  * to the same bytes with the fast path on and off.
@@ -364,6 +429,99 @@ TEST(FastPathEngagement, LongLatencyWrapsTheWakeupWheel)
     EXPECT_GE(slow.smCycles, 19u * 148u);
 }
 
+/**
+ * Stores only, on a network that takes one request per memory cycle
+ * from the whole device: each SM's L1 miss queue fills, its LSU head
+ * blocks on it and the SM sleeps with no wakeup of its own. Only the
+ * network's pop from that full queue wakes it, and the SM is settled
+ * before the pop: its slept cycles were blocked retries, each an L1
+ * access. Settling after the pop trips skipCycles()' stall assertion.
+ */
+TEST(FastPathEngagement, FullMissQueuePopWakesTheSleepingSm)
+{
+    auto run_once = [](bool fast_path) {
+        GpuConfig cfg = smallGpu(4, fast_path);
+        cfg.mem.nocRequestBwPerCycle = 1;
+        GpuTop gpu(cfg);
+        std::vector<WarpInstruction> script;
+        for (Addr line = 0; line < 24; ++line)
+            script.push_back(storeInst(line * lineBytes));
+        ScriptedKernel k(info(8, /*wcta=*/4, /*max_blocks=*/2),
+                         std::move(script));
+        return gpu.runKernel(k);
+    };
+    const RunMetrics fast = run_once(true);
+    const RunMetrics slow = run_once(false);
+
+    EXPECT_LT(fast.smTicks, slow.smTicks);
+    EXPECT_EQ(slow.smTicks, slow.smCycles * 4);
+    EXPECT_EQ(fast.smCycles, slow.smCycles);
+    EXPECT_EQ(fast.memCycles, slow.memCycles);
+    EXPECT_EQ(fast.instructions, slow.instructions);
+    EXPECT_EQ(fast.dynamicJoules, slow.dynamicJoules);
+    EXPECT_EQ(fast.staticJoules, slow.staticJoules);
+    expectOutcomes(fast.outcomeTotals, slow.outcomeTotals);
+}
+
+/** Records every SM's sampleStates() at every SM cycle. */
+class StateRecorder : public GpuController
+{
+  public:
+    std::string name() const override { return "state-recorder"; }
+
+    void
+    onSmCycle(GpuTop &g) override
+    {
+        for (int i = 0; i < g.numSms(); ++i) {
+            const WarpStateCounts c = g.sm(i).sampleStates();
+            samples.push_back({c.active, c.waiting, c.issued, c.excessAlu,
+                               c.excessMem, c.barrier, c.unaccounted});
+        }
+    }
+
+    std::vector<std::array<std::int64_t, 7>> samples;
+};
+
+/**
+ * A sleeping SM's sampleStates() must be what its slept ticks would
+ * have counted, every cycle. Blocks retire at varying rotation
+ * positions, so a tick that frees a block counts its earlier slots
+ * differently from the stalled ticks after it.
+ */
+TEST(FastPathEngagement, SleepingSmsSampleTheSlowPathStates)
+{
+    auto run_once = [](bool fast_path) {
+        GpuTop gpu(smallGpu(4, fast_path));
+        StateRecorder rec;
+        gpu.setController(&rec);
+        ScriptedKernel k(
+            info(24, /*wcta=*/4, /*max_blocks=*/2), [](BlockId b, int w) {
+                std::vector<WarpInstruction> script;
+                for (int i = 0; i < 4; ++i) {
+                    script.push_back(loadInst(
+                        static_cast<Addr>((b * 4 + w) * 8 + i) * lineBytes));
+                    script.push_back(loadUse());
+                }
+                return script;
+            });
+        const RunMetrics m = gpu.runKernel(k);
+        return std::make_pair(m, rec.samples);
+    };
+    const auto [fast, fast_samples] = run_once(true);
+    const auto [slow, slow_samples] = run_once(false);
+
+    EXPECT_LT(fast.smTicks, slow.smTicks);
+    EXPECT_EQ(fast.smCycles, slow.smCycles);
+    ASSERT_EQ(fast_samples.size(), slow_samples.size());
+    for (std::size_t i = 0; i < fast_samples.size(); ++i) {
+        if (fast_samples[i] != slow_samples[i]) {
+            ADD_FAILURE() << "SM " << i % 4 << " at cycle " << i / 4 + 1
+                          << " samples different states";
+            break;
+        }
+    }
+}
+
 /** fast_path=0 must fully disable both tiers. */
 TEST(FastPathEngagement, KnobDisablesSkipping)
 {
@@ -371,6 +529,7 @@ TEST(FastPathEngagement, KnobDisablesSkipping)
     ScriptedKernel k = sfuChainKernel(4);
     const RunMetrics m = gpu.runKernel(k);
     EXPECT_EQ(m.fastForwardedCycles, 0u);
+    EXPECT_EQ(m.smTicks, m.smCycles * 4); // no SM ever sleeps
 }
 
 // --- Checkpointing out of a skip-heavy run -----------------------------
