@@ -798,7 +798,7 @@ main(int argc, char **argv)
     timing.row({"memory cycles", std::to_string(m.memCycles)});
     timing.row({"instructions", std::to_string(m.instructions)});
     timing.row({"IPC (all SMs)", fmt(m.ipc(), 3)});
-    timing.row({"fast-forwarded cycles",
+    timing.row({"SM cycles with every SM asleep",
                 std::to_string(m.fastForwardedCycles)});
     timing.row({"SM ticks run",
                 std::to_string(m.smTicks) + " (" +

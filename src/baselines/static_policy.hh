@@ -36,13 +36,6 @@ class StaticPolicy : public GpuController
 
     std::string name() const override { return name_; }
 
-    /** Acts only at launch: never blocks the cycle-skipping fast path. */
-    Cycle
-    nextActionCycle(const GpuTop &, Cycle) const override
-    {
-        return noWakeup;
-    }
-
     void
     onKernelLaunch(GpuTop &gpu) override
     {

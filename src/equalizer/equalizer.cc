@@ -1,7 +1,5 @@
 #include "equalizer.hh"
 
-#include <algorithm>
-
 #include "gpu/gpu_top.hh"
 
 namespace equalizer
@@ -94,14 +92,6 @@ EqualizerEngine::onSmCycle(GpuTop &gpu)
     }
     if (c % cfg_.epochCycles == 0)
         endEpoch(gpu);
-}
-
-Cycle
-EqualizerEngine::nextActionCycle(const GpuTop &, Cycle now) const
-{
-    const Cycle s = (now / cfg_.sampleInterval + 1) * cfg_.sampleInterval;
-    const Cycle e = (now / cfg_.epochCycles + 1) * cfg_.epochCycles;
-    return std::min(s, e);
 }
 
 void

@@ -72,12 +72,6 @@ class EqualizerEngine : public GpuController
     void onSmCycle(GpuTop &gpu) override;
     void visitControllerState(StateVisitor &v, GpuTop &gpu) override;
 
-    /**
-     * The engine only acts on sample-interval and epoch boundaries; the
-     * fast path may skip freely between them (docs/FAST_PATH.md).
-     */
-    Cycle nextActionCycle(const GpuTop &, Cycle now) const override;
-
     /** Install a per-epoch trace sink. */
     void setEpochTrace(std::function<void(const EqualizerEpochRecord &)> f)
     {

@@ -56,14 +56,9 @@ class GpuController
     virtual void visitControllerState(StateVisitor &, GpuTop &) {}
 
     /**
-     * Fast-path hook (docs/FAST_PATH.md): the earliest SM cycle
-     * strictly greater than @p now at which this controller's
-     * onSmCycle hook might do anything, or noWakeup when it only acts
-     * at kernel boundaries. The cycle-skipping fast path never skips
-     * past the returned cycle's edge, so a periodic controller sees
-     * exactly the edges it would on the slow path. The default returns
-     * 0 — a standing veto that disables cycle skipping — so policies
-     * that act on arbitrary cycles stay bit-exact without opting in.
+     * Retired: the simulator never calls it. It stays only because
+     * bench/e2e's forwarding controller overrides it, and goes with
+     * that override.
      */
     virtual Cycle nextActionCycle(const GpuTop &, Cycle /*now*/) const
     {

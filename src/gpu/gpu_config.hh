@@ -48,13 +48,14 @@ struct GpuConfig
     SchedulerPolicy scheduler = SchedulerPolicy::LooseRoundRobin;
 
     /**
-     * Cycle-skipping fast path (docs/FAST_PATH.md): when every warp on
-     * every SM is provably stalled with a known wakeup bound, jump the
-     * clocks to the next event instead of ticking through dead cycles.
-     * Bit-identical to the slow path by construction; turn off to
-     * debug a suspected divergence. Deliberately NOT part of the
-     * checkpoint config fingerprint — fast and slow runs of the same
-     * machine produce interchangeable (byte-identical) checkpoints.
+     * Cycle-skipping fast path (docs/FAST_PATH.md): an SM that is
+     * provably stalled sleeps until its wakeup or a memory-side event
+     * instead of ticking through dead cycles, and is credited for them
+     * lazily. Bit-identical to the slow path by construction; turn off
+     * (every SM ticks every cycle) to debug a suspected divergence.
+     * Deliberately NOT part of the checkpoint config fingerprint — fast
+     * and slow runs of the same machine produce interchangeable
+     * (byte-identical) checkpoints.
      */
     bool fastPath = true;
 

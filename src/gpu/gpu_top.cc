@@ -1,7 +1,6 @@
 #include "gpu_top.hh"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "common/log.hh"
@@ -9,36 +8,6 @@
 
 namespace equalizer
 {
-
-namespace
-{
-
-/**
- * Tick of the clock edge that brings @p domain from its current cycle
- * @p dom_now to cycle @p c (requires c > dom_now). noWakeup maps to the
- * far future without overflowing the multiply.
- */
-Tick
-edgeTickOf(const ClockDomain &domain, Cycle c, Cycle dom_now)
-{
-    if (c == noWakeup)
-        return std::numeric_limits<Tick>::max();
-    return domain.nextEdge() +
-           static_cast<Tick>(c - dom_now - 1) * domain.period();
-}
-
-/** Number of @p domain edges that fire at ticks strictly before @p t. */
-Cycle
-edgesBefore(const ClockDomain &domain, Tick t)
-{
-    if (domain.nextEdge() >= t)
-        return 0;
-    return static_cast<Cycle>((t - 1 - domain.nextEdge()) /
-                              domain.period()) +
-           1;
-}
-
-} // namespace
 
 GpuTop::GpuTop(GpuConfig cfg, PowerConfig power)
     : cfg_(cfg), energy_(power), smDomain_("sm", cfg.smNominalHz),
@@ -84,29 +53,38 @@ GpuTop::tickSms(Cycle mem_now)
             may_sleep ? sm.sleepWakeup() : 0;
     };
 
+    std::size_t ticked = 0;
     if (!executor_ || executor_->threads() == 1) {
         for (int s = 0; s < numSms(); ++s) {
             if (due(s)) {
-                ++smTicks_;
+                ++ticked;
                 tick(s);
             }
         }
-        return;
+    } else {
+        // The parallel phase: SMs share no mutable state with each
+        // other (each owns its warps, L1, LSU, injection/response
+        // queues, energy shard and wake slot), so the due ones may tick
+        // concurrently. Everything after this call runs on the calling
+        // thread — the epoch barrier.
+        awake_.clear();
+        for (int s = 0; s < numSms(); ++s)
+            if (due(s))
+                awake_.push_back(s);
+        ticked = awake_.size();
+        const int n = static_cast<int>(ticked);
+        executor_->parallelFor(n, [this, &tick](int i) {
+            tick(awake_[static_cast<std::size_t>(i)]);
+        });
     }
-    // The parallel phase: SMs share no mutable state with each other
-    // (each owns its warps, L1, LSU, injection/response queues, energy
-    // shard and wake slot), so the due ones may tick concurrently.
-    // Everything after this call runs on the calling thread — the
-    // epoch barrier.
-    awake_.clear();
-    for (int s = 0; s < numSms(); ++s)
-        if (due(s))
-            awake_.push_back(s);
-    smTicks_ += awake_.size();
-    const int n = static_cast<int>(awake_.size());
-    executor_->parallelFor(n, [this, &tick](int i) {
-        tick(awake_[static_cast<std::size_t>(i)]);
-    });
+    smTicks_ += ticked;
+
+    // Every SM asleep. Counted only while one invocation has the whole
+    // device, so a co-run reads 0 with or without a cycle observer
+    // (which keeps every SM awake) and its metrics compare equal.
+    if (ticked == 0 && !explicitTenants_ && pendingLaunches_ == 0 &&
+        invocations_.size() == 1)
+        ++fastForwardedCycles_;
 }
 
 void
@@ -511,85 +489,6 @@ GpuTop::beginRun(const std::string &label, Cycle max_sm_cycles)
     run_.active = true;
     ffAtRunStart_ = fastForwardedCycles_;
     ticksAtRunStart_ = smTicks_;
-}
-
-bool
-GpuTop::tryFastForward(Cycle sm_stop)
-{
-    // Every SM asleep; the earliest wake cycle bounds the span. (A
-    // per-cycle observer keeps every SM awake, so no edge it would
-    // have seen is skipped.)
-    Cycle sm_wakeup = noWakeup;
-    for (const Cycle w : wakeAt_) {
-        if (w == 0)
-            return false;
-        sm_wakeup = std::min(sm_wakeup, w);
-    }
-
-    // Multi-tenant runs (explicit partitions, queued relaunches or
-    // several in-flight invocations) take the slow path outright: the
-    // limiter and relaunch logic act on arbitrary cycles.
-    if (explicitTenants_ || pendingLaunches_ > 0 ||
-        invocations_.size() != 1)
-        return false;
-
-    // The controller's next possible action bounds the span; the
-    // default (0) is a standing veto for policies without the hook.
-    const Cycle sm_now = smDomain_.cycle();
-    const Cycle ctrl_bound =
-        controller_ ? controller_->nextActionCycle(*this, sm_now)
-                    : noWakeup;
-    if (ctrl_bound <= sm_now)
-        return false;
-
-    // Safety net: pending work the barrier phase would distribute means
-    // the machine is not quiescent. (Normally unreachable — the last
-    // distributeBlocks() already satisfied every willing SM.)
-    const KernelInvocation &inv = invocations_.front();
-    if (inv.active() && inv.gwde().hasBlocks())
-        for (const auto &sm : sms_)
-            if (sm->wantsBlock())
-                return false;
-
-    const Cycle mem_now = memDomain_.cycle();
-    const Cycle mem_ev = memSystem_.nextEventCycle(mem_now);
-    if (mem_ev <= mem_now)
-        return false; // hard veto: a matured response awaits an SM tick
-
-    Cycle sm_bound = std::min(sm_wakeup, ctrl_bound);
-    if (tracer_ && tracer_->attached()) {
-        const Cycle e = tracer_->epochCycles();
-        sm_bound = std::min(sm_bound, (sm_now / e + 1) * e);
-    }
-    // The edge after the limit must run slowly so the panic fires.
-    sm_bound = std::min(sm_bound, run_.cycleLimit + 1);
-    // A bounded step() pauses once its quantum boundary is reached, so
-    // a skip may land exactly on it but never beyond. (sm_stop !=
-    // noWakeup, so the + 1 cannot wrap.)
-    if (sm_stop != noWakeup)
-        sm_bound = std::min(sm_bound, sm_stop + 1);
-
-    // Convert both bounds to global time and skip every edge strictly
-    // before the earliest, leaving that edge for the slow path. VF
-    // transitions apply on an edge at-or-after their due tick, so
-    // clamping to the due tick keeps the span transition-free.
-    Tick tstar = std::min(edgeTickOf(smDomain_, sm_bound, sm_now),
-                          edgeTickOf(memDomain_, mem_ev, mem_now));
-    if (smDomain_.transitionPending())
-        tstar = std::min(tstar, smDomain_.pendingAt());
-    if (memDomain_.transitionPending())
-        tstar = std::min(tstar, memDomain_.pendingAt());
-
-    const Cycle n_mem = edgesBefore(memDomain_, tstar);
-    const Cycle n_sm = edgesBefore(smDomain_, tstar);
-    if (n_mem == 0 && n_sm == 0)
-        return false;
-
-    memDomain_.advanceCycles(n_mem);
-    memSystem_.skipCycles(mem_now, n_mem);
-    smDomain_.advanceCycles(n_sm);
-    fastForwardedCycles_ += n_sm;
-    return true;
 }
 
 RunMetrics

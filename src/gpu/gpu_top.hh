@@ -279,8 +279,9 @@ class GpuTop
     bool midKernel() const { return run_.active; }
 
     /**
-     * SM cycles jumped over by the cycle-skipping fast path since
-     * construction (docs/FAST_PATH.md). Deliberately not serialized and
+     * SM edges since construction at which no SM ticked because every
+     * SM was asleep, counted while one invocation has the whole device
+     * (docs/FAST_PATH.md). Deliberately not serialized and
      * not exported — it differs between fast- and slow-path runs, which
      * must stay byte-comparable everywhere else.
      */
@@ -340,31 +341,14 @@ class GpuTop
      * ones, and sleepers whose wake cycle has come or whose response
      * queue head is ready by @p mem_now. A sleeper is settled to the
      * previous cycle first. After its tick an SM goes to sleep when
-     * sleepWakeup() says so (fast path on, no observer).
+     * sleepWakeup() says so (fast path on, no observer). An edge that
+     * ticks no SM in a single-invocation run counts in
+     * fastForwardedCycles().
      */
     void tickSms(Cycle mem_now);
 
     /** Credit every sleeping SM's lag, leaving it asleep. */
     void settleSms();
-
-    /**
-     * The whole-device jump of the fast path (docs/FAST_PATH.md): when
-     * every SM is asleep and the memory system provably quiet, compute
-     * a conservative global bound (SM wake cycles, memory deadlines,
-     * controller actions, tracer epoch boundaries, the cycle limit, VF
-     * transitions) and fire all clock edges strictly before it at once,
-     * replaying the memory side's per-cycle bookkeeping analytically;
-     * the sleeping SMs settle lazily. Returns true when at least one
-     * edge was skipped. Bit-identical to ticking by construction; the
-     * caller re-enters the normal loop either way. Vetoed outright
-     * during multi-tenant runs (docs/MULTI_TENANT.md).
-     *
-     * @param sm_stop Absolute SM cycle of the caller's quantum
-     *     boundary (noWakeup = unbounded): a skip may land exactly on
-     *     it but never beyond, so SchedulerCore::step(n) pauses on
-     *     time even when the whole quantum is skippable.
-     */
-    bool tryFastForward(Cycle sm_stop);
 
     /** Whole-run setup shared by runKernel() and runTenants(). */
     void beginRun(const std::string &label, Cycle max_sm_cycles);
@@ -435,13 +419,13 @@ class GpuTop
     std::string currentKernelName_;
     RunContext run_;
 
-    // --- Fast-path bookkeeping (none of it serialized: sleep and skips
-    // are transparent, so their pattern may differ across a
+    // --- Fast-path bookkeeping (none of it serialized: sleep is
+    // transparent, so its pattern may differ across a
     // checkpoint/restore while every simulated quantity stays equal).
     /// Per SM: the SM cycle a sleeping SM next ticks at, 0 when awake.
     std::vector<Cycle> wakeAt_;
     std::vector<int> awake_; ///< SMs ticked at this edge (reused)
-    Cycle fastForwardedCycles_ = 0;
+    Cycle fastForwardedCycles_ = 0; ///< edges with every SM asleep
     Cycle ffAtRunStart_ = 0;  ///< counter value at beginRun()
     std::uint64_t smTicks_ = 0; ///< SM ticks run (RunMetrics::smTicks)
     std::uint64_t ticksAtRunStart_ = 0;

@@ -45,17 +45,18 @@ struct RunMetrics
     double dramPowerDownFraction = 0.0;
 
     /**
-     * SM cycles the cycle-skipping fast path jumped over instead of
-     * ticking (docs/FAST_PATH.md). Diagnostic only: excluded from the
-     * export tables and epoch gauges so fast- and slow-path runs stay
-     * byte-comparable; 0 when fastPath is off (and after a mid-kernel
-     * restore, which resets the counter).
+     * SM cycles at which no SM ticked because every SM was asleep
+     * (docs/FAST_PATH.md). Diagnostic only: excluded from the export
+     * tables and epoch gauges so fast- and slow-path runs stay
+     * byte-comparable; 0 when fastPath is off or a cycle observer is
+     * installed (both keep every SM awake), and in multi-tenant runs.
+     * Not serialized, so a mid-kernel restore starts it afresh.
      */
     Cycle fastForwardedCycles = 0;
 
     /**
      * SM ticks actually run, summed over SMs: the rest of the
-     * smCycles x SMs were slept or fast-forwarded. Diagnostic only, like
+     * smCycles x SMs were slept. Diagnostic only, like
      * fastForwardedCycles.
      */
     std::uint64_t smTicks = 0;

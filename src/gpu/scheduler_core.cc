@@ -149,8 +149,6 @@ SchedulerCore::step(Cycle n_cycles)
             g.settleSms();
             return StepStatus::Running;
         }
-        if (g.cfg_.fastPath && g.tryFastForward(stop))
-            continue;
         if (g.memDomain_.nextEdge() <= g.smDomain_.nextEdge()) {
             g.memDomain_.advance();
             g.energy_.setDomainStates(g.smDomain_.state(),

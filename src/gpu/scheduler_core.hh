@@ -8,7 +8,6 @@
  * them. Pausing between clock edges is state-neutral, so a run
  * advanced via any sequence of step() calls is bit-identical to a
  * single run-to-completion call at any threads= setting, with
- * fast-path skips clamped to the quantum boundary and
  * tracing/checkpointing behaviour untouched.
  *
  * All mutable run state stays inside GpuTop (its RunContext is part of

@@ -108,33 +108,6 @@ DramPartition::tick(Cycle now)
 }
 
 void
-DramPartition::skipIdleCycles(Cycle now, Cycle n)
-{
-    if (n == 0)
-        return;
-    if (inService_) {
-        EQ_ASSERT(busyUntil_ > now + n,
-                  "DRAM skip span crosses a burst completion");
-        return;
-    }
-    EQ_ASSERT(queue_.empty(),
-              "DRAM skip with queued work on an idle bus");
-    if (cfg_.dramPowerDownIdleCycles == 0)
-        return;
-    // First cycle in (now, now+n] whose tick counts a powered-down
-    // cycle: immediately if already powered down, otherwise once the
-    // idle stretch since lastActive_ reaches the threshold.
-    const Cycle first =
-        poweredDown_ ? now + 1
-                     : std::max(now + 1,
-                                lastActive_ + cfg_.dramPowerDownIdleCycles);
-    if (first > now + n)
-        return;
-    poweredDown_ = true;
-    poweredDownCycles_ += now + n - first + 1;
-}
-
-void
 DramPartition::visitState(StateVisitor &v)
 {
     v.beginSection("dram", 1);

@@ -50,23 +50,6 @@ class DramPartition
 
     std::size_t queueDepth() const { return queue_.size(); }
 
-    /** Whether a request currently occupies the data bus. */
-    bool inService() const { return inService_.has_value(); }
-
-    /** Cycle the in-service burst completes (valid while inService()). */
-    Cycle busyUntil() const { return busyUntil_; }
-
-    /**
-     * Replay @p n no-progress tick(now+1 .. now+n) calls analytically.
-     * Valid only when the span is verified quiet: either a burst is in
-     * service whose completion falls after the span (each tick is then
-     * a strict no-op), or the partition is idle with an empty queue (the
-     * ticks only run the power-down accounting, which is integrated in
-     * closed form). An idle bus with queued work is fatal — that tick
-     * would start a burst and must run on the slow path.
-     */
-    void skipIdleCycles(Cycle now, Cycle n);
-
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t rowHits() const { return rowHits_; }
 

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/log.hh"
-
 namespace equalizer
 {
 
@@ -96,72 +94,6 @@ L2Partition::tick(Cycle now)
     }
 
     handleRequest(now);
-}
-
-Cycle
-L2Partition::nextEventCycle(Cycle now) const
-{
-    const Cycle next = now + 1;
-    Cycle bound = noWakeup;
-
-    // DRAM service path: tick() runs it only while the output queue has
-    // room. When the output is full the DRAM is frozen entirely, and
-    // the output head's drain (which would unfreeze it) is bounded by
-    // the response network at the MemorySystem level.
-    if (!output_.full()) {
-        if (dram_.inService())
-            bound = std::min(bound, std::max(dram_.busyUntil(), next));
-        else if (dram_.queueDepth() > 0)
-            return next; // would start a burst next tick
-    }
-
-    if (!input_.empty()) {
-        const Cycle ready = input_.headReadyAt();
-        if (ready > now)
-            return std::min(bound, std::max(ready, next));
-        // Ready head: every tick retries it. That is progress unless
-        // the head is blocked by a condition that cannot clear within
-        // the span (output stays full, DRAM drain bounded above).
-        const MemAccess &head = input_.front();
-        if (head.write)
-            return next;
-        if (tags_.probe(head.lineAddr)) {
-            if (!output_.full())
-                return next;
-        } else {
-            if (!dram_.full())
-                return next;
-        }
-    }
-    return bound;
-}
-
-void
-L2Partition::skipCycles(Cycle now, Cycle n)
-{
-    if (n == 0)
-        return;
-
-    if (!output_.full())
-        dram_.skipIdleCycles(now, n);
-
-    if (!input_.empty() && input_.headReadyAt() <= now) {
-        // Blocked ready head: tick() retried it every skipped cycle,
-        // costing one L2 access lookup per retry. Hit/miss counters do
-        // not move on retries; a blocked hit touches LRU state each
-        // time (same line, owner untouched).
-        const MemAccess &head = input_.front();
-        EQ_ASSERT(!head.write, "L2 skip with a ready store at the head");
-        energy_.recordRepeated(EnergyEvent::L2Access, n);
-        if (tags_.probe(head.lineAddr)) {
-            EQ_ASSERT(output_.full(),
-                      "L2 skip with a serviceable load hit at the head");
-            tags_.bulkTouch(head.lineAddr, n);
-        } else {
-            EQ_ASSERT(dram_.full(),
-                      "L2 skip with a forwardable load miss at the head");
-        }
-    }
 }
 
 void

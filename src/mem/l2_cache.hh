@@ -42,38 +42,12 @@ class L2Partition
 
     /** Interconnect-facing input (push with request latency applied). */
     DelayQueue<MemAccess> &input() { return input_; }
-    const DelayQueue<MemAccess> &input() const { return input_; }
 
     /** Completed loads waiting for the response interconnect. */
     DelayQueue<MemAccess> &output() { return output_; }
-    const DelayQueue<MemAccess> &output() const { return output_; }
 
     /** Advance one memory cycle. */
     void tick(Cycle now);
-
-    // --- Fast-path support (docs/FAST_PATH.md).
-
-    /**
-     * Earliest memory cycle at which tick() might make progress, given
-     * the partition's current state. Returns @p now + 1 when the very
-     * next tick moves work (serve a request, start or complete a DRAM
-     * burst), a later cycle when the next possible movement has a known
-     * deadline (DRAM burst completion, input head maturing), or
-     * noWakeup when the partition is fully quiet. Every tick at a cycle
-     * strictly below the returned value is a verified no-progress tick
-     * that skipCycles() can replay analytically. Pure probe.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
-     * Replay @p n no-progress tick(now+1 .. now+n) calls: DRAM idle /
-     * power-down accounting (only when the output queue has room, the
-     * same gate tick() applies) and the per-cycle retry of a blocked
-     * ready request head (L2 access energy each cycle, plus the LRU
-     * touch for a blocked load hit). Only valid when every replayed
-     * cycle is strictly below nextEventCycle(now)'s bound.
-     */
-    void skipCycles(Cycle now, Cycle n);
 
     /** Drop all cached lines and dirty state (kernel boundary). */
     void flush();

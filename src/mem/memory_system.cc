@@ -1,7 +1,5 @@
 #include "memory_system.hh"
 
-#include <algorithm>
-
 namespace equalizer
 {
 
@@ -92,91 +90,6 @@ MemorySystem::tick(Cycle now)
         }
     }
     rrPartition_ = (rrPartition_ + 1) % nparts;
-}
-
-Cycle
-MemorySystem::nextEventCycle(Cycle now) const
-{
-    const Cycle next = now + 1;
-    Cycle bound = noWakeup;
-
-    // Per-SM response queues. A matured head is consumed by the next SM
-    // tick's drainResponses() on the SM clock — invisible to the
-    // SM-side stall check — so it vetoes all skipping. An immature head
-    // matures at the memory edge of its readyAt cycle; bounding the
-    // span there keeps every skipped SM edge strictly before the first
-    // tick that could drain it.
-    for (const Cycle ready : responseReadyAt_) {
-        if (ready <= now)
-            return now; // hard veto
-        bound = std::min(bound, ready);
-    }
-
-    for (const auto &p : partitions_) {
-        const Cycle b = p->nextEventCycle(now);
-        if (b <= next)
-            return next;
-        bound = std::min(bound, b);
-    }
-
-    // Request network: a non-empty injection queue whose head's
-    // destination has room transfers next tick. A blocked head stays
-    // blocked for the span — its destination only drains on partition
-    // progress, which the partition bounds above.
-    for (int sm = 0; sm < numSms_; ++sm) {
-        for (const auto *queue :
-             {injectQueues_[static_cast<std::size_t>(sm)].get(),
-              texQueues_[static_cast<std::size_t>(sm)].get()}) {
-            if (queue->empty())
-                continue;
-            const MemAccess &head = queue->front();
-            const auto &dest = partitions_[static_cast<std::size_t>(
-                                               partitionOf(head.lineAddr))]
-                                   ->input();
-            if (!dest.full())
-                return next;
-        }
-    }
-
-    // Response network: a matured partition-output head with room in
-    // its SM response queue transfers next tick. When the SM queue is
-    // full its head is necessarily immature (a mature one hard-vetoed
-    // above), so the blockage outlasts any span bounded by that head's
-    // readyAt, already folded into `bound`.
-    for (const auto &p : partitions_) {
-        const auto &out = p->output();
-        if (out.empty())
-            continue;
-        const Cycle ready = out.headReadyAt();
-        if (ready > now) {
-            bound = std::min(bound, ready);
-            continue;
-        }
-        const MemAccess &head = out.front();
-        if (!responseQueues_[static_cast<std::size_t>(head.sm)]->full())
-            return next;
-    }
-
-    return bound;
-}
-
-void
-MemorySystem::skipCycles(Cycle now, Cycle n)
-{
-    if (n == 0)
-        return;
-    tickCount_ += n;
-    std::uint64_t depth_sum = 0;
-    for (const auto &p : partitions_) {
-        p->skipCycles(now, n);
-        depth_sum += p->dram().queueDepth();
-    }
-    dramQueueDepthSum_ += depth_sum * n;
-    rrSm_ = static_cast<int>((static_cast<Cycle>(rrSm_) + n) %
-                             static_cast<Cycle>(numSms_));
-    rrPartition_ =
-        static_cast<int>((static_cast<Cycle>(rrPartition_) + n) %
-                         static_cast<Cycle>(partitions_.size()));
 }
 
 std::vector<MemAccess>

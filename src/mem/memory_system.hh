@@ -76,38 +76,11 @@ class MemorySystem
         return responseReadyAt_[static_cast<std::size_t>(sm)];
     }
 
-    // --- Fast-path support (docs/FAST_PATH.md).
-
-    /**
-     * Earliest memory cycle at which anything in the memory system
-     * might make progress. Three regimes:
-     *  - @p now: hard veto. A matured response sits at the head of a
-     *    per-SM response queue; SM ticks consume those on the SM clock,
-     *    outside this subsystem's view, so no cycle — SM or memory —
-     *    may be skipped.
-     *  - @p now + 1: the very next memory tick moves work (partition
-     *    progress or interconnect transfer); memory cannot skip, but SM
-     *    edges before that memory edge are unaffected by it.
-     *  - a later cycle / noWakeup: every memory tick strictly below the
-     *    bound is a verified no-progress tick, and no SM tick before
-     *    the bound's memory edge can observe a memory-side change.
-     * Pure probe.
-     */
-    Cycle nextEventCycle(Cycle now) const;
-
-    /**
-     * Replay @p n no-progress tick(now+1 .. now+n) calls analytically:
-     * tick count, DRAM queue-depth sampling (depths are frozen over a
-     * verified span), per-partition idle accounting and blocked-head
-     * retries, and the round-robin arbitration pointers that advance
-     * every cycle regardless of traffic.
-     */
-    void skipCycles(Cycle now, Cycle n);
-
     /**
      * Drain up to @p max_n completed loads destined for @p sm whose
-     * network delay has elapsed by memory cycle @p mem_now. Called from
-     * the SM clock domain (the caller supplies the memory clock).
+     * network delay has elapsed by memory cycle @p mem_now, returned in
+     * queue order. The capped, copying form of drainReadyResponses();
+     * the SMs use that one, and bench/e2e's memory-system probe this.
      */
     std::vector<MemAccess> drainResponses(SmId sm, Cycle mem_now, int max_n);
 

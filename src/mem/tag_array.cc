@@ -57,24 +57,6 @@ TagArray::probe(Addr line_addr) const
     return false;
 }
 
-void
-TagArray::bulkTouch(Addr line_addr, std::uint64_t n)
-{
-    if (n == 0)
-        return;
-    const int set = setIndex(line_addr);
-    const Addr tag = tagOf(line_addr);
-    for (int w = 0; w < ways_; ++w) {
-        Line &line = lines_[static_cast<std::size_t>(set) * ways_ + w];
-        if (line.valid && line.tag == tag) {
-            useClock_ += n;
-            line.lastUse = useClock_;
-            return;
-        }
-    }
-    fatal("bulkTouch() on a line that is not present");
-}
-
 std::optional<TagArray::Eviction>
 TagArray::insert(Addr line_addr, int owner)
 {

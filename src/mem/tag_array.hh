@@ -51,15 +51,6 @@ class TagArray
     bool probe(Addr line_addr) const;
 
     /**
-     * Replay @p n consecutive lookup() touches of a present line in one
-     * step: the use clock advances n times and the line carries the
-     * final stamp, exactly as n owner-less lookups would leave it. Used
-     * by the fast path to replicate an L2 head retrying against a hit
-     * line for n skipped cycles. The line must be present (fatal if not).
-     */
-    void bulkTouch(Addr line_addr, std::uint64_t n);
-
-    /**
      * Install a line (evicting LRU if the set is full). No-op if the line
      * is already present (it is touched instead).
      *

@@ -163,22 +163,15 @@ class EnergyModel
     }
 
     /**
-     * Deposit @p n events as n separate single-event deposits.
+     * Deposit @p n events into the shard of SM @p sm as n separate
+     * single-event deposits.
      *
-     * record(e, n) folds the count into one scaled floating-point add,
-     * which is not bit-identical to n individual adds. The fast path
-     * replays per-cycle retry energy (blocked L1/L2 heads) with this so
-     * a skipped span accumulates exactly the joules the slow path would
+     * record(sm, e, n) folds the count into one scaled floating-point
+     * add, which is not bit-identical to n individual adds. A sleeping
+     * SM replays its per-cycle blocked L1 retries with this so a slept
+     * span accumulates exactly the joules the slow path would
      * (docs/FAST_PATH.md).
      */
-    void
-    recordRepeated(EnergyEvent e, std::uint64_t n)
-    {
-        for (std::uint64_t i = 0; i < n; ++i)
-            deposit(serial_, e, 1.0, 1);
-    }
-
-    /** recordRepeated into the shard of SM @p sm. */
     void
     recordRepeated(int sm, EnergyEvent e, std::uint64_t n)
     {

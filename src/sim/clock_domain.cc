@@ -45,26 +45,6 @@ ClockDomain::advance()
     return edge;
 }
 
-void
-ClockDomain::advanceCycles(Cycle n)
-{
-    if (n == 0)
-        return;
-    // n advance() calls with a constant period and state telescope into
-    // one residency update. A pending transition inside the span would
-    // change the period mid-way; the caller (GpuTop::tryFastForward)
-    // bounds the span at pendingAt(), so it can only fall after the
-    // last skipped edge.
-    const Tick last_edge = nextEdge_ + (n - 1) * period();
-    EQ_ASSERT(!pending_ || pending_->at > last_edge,
-              "advanceCycles span on domain '", name_,
-              "' crosses a pending VF transition");
-    residency_[index(state_)] += last_edge - now_;
-    now_ = last_edge;
-    cycle_ += n;
-    nextEdge_ = last_edge + period();
-}
-
 Tick
 ClockDomain::totalTime() const
 {

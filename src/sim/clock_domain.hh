@@ -78,15 +78,6 @@ class ClockDomain
      */
     Tick advance();
 
-    /**
-     * Fire the next @p n edges at once — bit-identical to n advance()
-     * calls, provided no pending transition falls due within the span
-     * (asserted). The fast path uses this to jump over verified-idle
-     * stretches; residency integrates over the whole span so static
-     * energy is unaffected (docs/FAST_PATH.md).
-     */
-    void advanceCycles(Cycle n);
-
     /** Tick at which the pending transition may apply (must be pending). */
     Tick pendingAt() const
     {

@@ -72,8 +72,6 @@ class Tracer
         return (cycle & epochMask_) == 0;
     }
 
-    Cycle epochCycles() const { return epochMask_ + 1; }
-
     /** Serial-phase emit: append directly to the pending batch. */
     void
     emit(const TraceEvent &e)

@@ -2,10 +2,9 @@
  * @file
  * Tests for the cycle-skipping fast path (docs/FAST_PATH.md): bit
  * identity of metrics, energy and traces against the slow path at any
- * thread count, SM sleep and its wake sources, engagement of the
- * whole-device fast-forward on a fully stalled machine, checkpointing
- * out of a skip-heavy run, replication of time-averaged memory gauges,
- * and the wakeup-sanity fatal.
+ * thread count, SM sleep and its wake sources, every SM asleep at once
+ * on a fully stalled machine, checkpointing out of a sleep-heavy run,
+ * time-averaged memory gauges, and the wakeup-sanity fatal.
  */
 
 #include <gtest/gtest.h>
@@ -62,8 +61,8 @@ smallGpu(int sms = 4, bool fast_path = true)
 /**
  * A kernel whose warps spend nearly all their time stalled on SFU
  * result latency with zero memory traffic: long spans where every SM
- * is stalled with a known wakeup and the memory system is quiescent —
- * exactly the regime the whole-device fast-forward targets.
+ * is stalled with a known wakeup and the memory system is quiescent, so
+ * every SM sleeps at once.
  */
 ScriptedKernel
 sfuChainKernel(int blocks, int insts = 200)
@@ -199,8 +198,14 @@ TEST_P(FastPathIdentity, MetricsMatchSlowPath)
     EXPECT_EQ(fast.total.dramPowerDownFraction,
               slow.total.dramPowerDownFraction);
 
-    // The diagnostic skip counter is the one permitted difference.
+    // The diagnostic sleep counters are the one permitted difference.
+    // An edge with every SM asleep ticks no SM, so the ticks run fit in
+    // the other edges.
     EXPECT_EQ(slow.total.fastForwardedCycles, 0u);
+    EXPECT_LE(fast.total.fastForwardedCycles, fast.total.smCycles);
+    EXPECT_LE(fast.total.smTicks,
+              (fast.total.smCycles - fast.total.fastForwardedCycles) *
+                  GpuConfig::gtx480().numSms);
 }
 
 /** Same guarantee under a live Equalizer controller. */
@@ -337,8 +342,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 /**
  * Epoch traces are part of the identity contract too: a traced run
- * (which clamps whole-device skips to epoch boundaries) must serialize
- * to the same bytes with the fast path on and off.
+ * must serialize to the same bytes with the fast path on and off.
  */
 TEST(FastPathTrace, TraceBytesMatchSlowPath)
 {
@@ -352,10 +356,9 @@ TEST(FastPathTrace, TraceBytesMatchSlowPath)
 
 /**
  * On a machine where every warp is stalled on a known-latency result
- * and the memory system is idle, the whole-device fast-forward must
- * actually engage (FastForwardedCycles > 0) — and still reproduce the
- * slow path's metrics exactly, including the time-averaged DRAM queue
- * gauge that skipCycles() replicates analytically.
+ * and the memory system is idle, every SM must sleep at once on some
+ * cycles (fastForwardedCycles > 0) — and still reproduce the slow
+ * path's metrics exactly, including the time-averaged DRAM queue gauge.
  */
 TEST(FastPathEngagement, FastForwardsAllStalledMachine)
 {
@@ -406,8 +409,8 @@ TEST(FastPathEngagement, SharedPipeStallWakesWhenThePipeDrains)
 
 /**
  * Result latencies longer than the SM's 64-slot readyAt wheel wrap it:
- * each warp must wake exactly at its readyAt, not a lap early, with the
- * whole-device skip on and off.
+ * each warp must wake exactly at its readyAt, not a lap early, with SM
+ * sleep on and off.
  */
 TEST(FastPathEngagement, LongLatencyWrapsTheWakeupWheel)
 {
@@ -522,7 +525,7 @@ TEST(FastPathEngagement, SleepingSmsSampleTheSlowPathStates)
     }
 }
 
-/** fast_path=0 must fully disable both tiers. */
+/** fast_path=0 must fully disable SM sleep. */
 TEST(FastPathEngagement, KnobDisablesSkipping)
 {
     GpuTop gpu(smallGpu(4, /*fast_path=*/false));
@@ -532,13 +535,26 @@ TEST(FastPathEngagement, KnobDisablesSkipping)
     EXPECT_EQ(m.smTicks, m.smCycles * 4); // no SM ever sleeps
 }
 
-// --- Checkpointing out of a skip-heavy run -----------------------------
+/**
+ * The all-asleep count depends only on simulated state: the worker pool
+ * ticks the same due SMs as the serial loop, so threads=4 counts the
+ * same edges as threads=1.
+ */
+TEST(FastPathEngagement, AllAsleepCountIsThreadInvariant)
+{
+    const AppRunResult t1 = runApp("lbm", 1, true, policies::baseline());
+    const AppRunResult t4 = runApp("lbm", 4, true, policies::baseline());
+    EXPECT_GT(t1.total.fastForwardedCycles, 0u);
+    EXPECT_EQ(t1.total.fastForwardedCycles, t4.total.fastForwardedCycles);
+    EXPECT_EQ(t1.total.smTicks, t4.total.smTicks);
+}
+
+// --- Checkpointing out of a sleep-heavy run ----------------------------
 
 /**
- * Saves a whole-GPU checkpoint from onSmCycle at a target cycle, and
- * bounds fast-forward spans via nextActionCycle so the save cycle is
- * ticked rather than jumped over. Construct disarmed for runs that
- * should never save (and never veto a skip).
+ * Saves a whole-GPU checkpoint from onSmCycle at a target cycle, while
+ * the SMs may be asleep. Construct disarmed for runs that should never
+ * save.
  */
 class SaveAtController : public GpuController
 {
@@ -558,21 +574,15 @@ class SaveAtController : public GpuController
             *out_ = g.saveStateBuffer();
     }
 
-    Cycle
-    nextActionCycle(const GpuTop &, Cycle /*now*/) const override
-    {
-        return (out_ && out_->empty()) ? saveCycle_ : noWakeup;
-    }
-
   private:
     Cycle saveCycle_;
     std::vector<std::uint8_t> *out_;
 };
 
 /**
- * Checkpointing in the middle of a skip-heavy run — with fast-forward
- * spans active before and after the save cycle — must restore into a
- * run whose final metrics match both the uninterrupted fast run and
+ * Checkpointing in the middle of a sleep-heavy run — with every SM
+ * asleep on cycles before and after the save cycle — must restore into
+ * a run whose final metrics match both the uninterrupted fast run and
  * the slow path.
  */
 TEST(FastPathCheckpoint, MidSkipSaveRestoresIdentically)
@@ -602,7 +612,7 @@ TEST(FastPathCheckpoint, MidSkipSaveRestoresIdentically)
         EXPECT_GT(donor_m.fastForwardedCycles, 0u);
     }
 
-    // Restored: fresh GPU, disarmed controller (skips stay enabled).
+    // Restored: fresh GPU, disarmed controller (SMs still sleep).
     RunMetrics restored_m;
     {
         GpuTop gpu(smallGpu(4, /*fast_path=*/true));
@@ -638,18 +648,12 @@ class StaleWakeupController : public GpuController
         // claims to be stalled until cycle 1 forever.
         g.sm(0).debugSetStallWakeup(1);
     }
-
-    Cycle
-    nextActionCycle(const GpuTop &, Cycle /*now*/) const override
-    {
-        return noWakeup;
-    }
 };
 
 /**
  * A stall wakeup that is not in the future is a corrupted invariant;
- * the fast-forward probe must die loudly rather than skip (or spin) on
- * it.
+ * putting the SM to sleep must die loudly rather than sleep (or spin)
+ * on it.
  */
 TEST(FastPathDeath, PastWakeupIsFatal)
 {

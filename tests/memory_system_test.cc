@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mem/memory_system.hh"
 
 namespace equalizer
@@ -32,6 +34,16 @@ class MemorySystemTest : public ::testing::Test
         return a;
     }
 
+    /** Every response for SM @p sm ready by now, in queue order. */
+    std::vector<MemAccess>
+    drain(SmId sm)
+    {
+        std::vector<MemAccess> out;
+        mem.drainReadyResponses(
+            sm, now, [&out](const MemAccess &r) { out.push_back(r); });
+        return out;
+    }
+
     /** Advance the memory system and collect responses for all SMs. */
     std::vector<MemAccess>
     runCycles(Cycle count)
@@ -40,7 +52,7 @@ class MemorySystemTest : public ::testing::Test
         for (Cycle i = 0; i < count; ++i) {
             mem.tick(now);
             for (int s = 0; s < numSms; ++s)
-                for (auto &r : mem.drainResponses(s, now, 100))
+                for (auto &r : drain(s))
                     all.push_back(r);
             ++now;
         }
@@ -61,7 +73,7 @@ TEST_F(MemorySystemTest, LoadRoundTripReturnsToIssuingSm)
     EXPECT_EQ(responses[0].sm, 2);
     EXPECT_EQ(responses[0].warp, 5);
     EXPECT_EQ(responses[0].lineAddr, 0x1000u);
-    EXPECT_TRUE(mem.drainResponses(0, now, 100).empty());
+    EXPECT_TRUE(drain(0).empty());
 }
 
 TEST_F(MemorySystemTest, RoundTripLatencyIsAtLeastTheNetworkDelays)
@@ -70,7 +82,7 @@ TEST_F(MemorySystemTest, RoundTripLatencyIsAtLeastTheNetworkDelays)
     Cycle arrival = 0;
     for (Cycle i = 0; i < 1000 && arrival == 0; ++i) {
         mem.tick(now);
-        if (!mem.drainResponses(0, now, 1).empty())
+        if (!drain(0).empty())
             arrival = now;
         ++now;
     }
@@ -90,7 +102,7 @@ TEST_F(MemorySystemTest, SecondAccessHitsInL2AndReturnsFaster)
     Cycle arrival = 0;
     for (Cycle i = 0; i < 1000 && arrival == 0; ++i) {
         mem.tick(now);
-        if (!mem.drainResponses(0, now, 1).empty())
+        if (!drain(0).empty())
             arrival = now;
         ++now;
     }
@@ -186,7 +198,7 @@ TEST_F(MemorySystemTest, SustainedOverloadBacksUpInjectQueues)
         }
         mem.tick(now);
         for (int s = 0; s < numSms; ++s)
-            mem.drainResponses(s, now, 100);
+            drain(s);
         ++now;
         if (mem.smInjectQueue(0).full())
             saw_backpressure = true;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
 
 #include "common/rng.hh"
 #include "equalizer/decision.hh"
@@ -37,6 +38,16 @@ using testing::syncInst;
 class MemConservation : public ::testing::TestWithParam<std::uint64_t>
 {
 };
+
+/** Every response for SM @p sm ready by @p now, in queue order. */
+std::vector<MemAccess>
+drainAll(MemorySystem &mem, SmId sm, Cycle now)
+{
+    std::vector<MemAccess> out;
+    mem.drainReadyResponses(
+        sm, now, [&out](const MemAccess &r) { out.push_back(r); });
+    return out;
+}
 
 TEST_P(MemConservation, EveryLoadGetsExactlyOneResponse)
 {
@@ -72,7 +83,7 @@ TEST_P(MemConservation, EveryLoadGetsExactlyOneResponse)
         }
         mem.tick(now);
         for (int sm = 0; sm < num_sms; ++sm) {
-            for (const auto &resp : mem.drainResponses(sm, now, 100)) {
+            for (const auto &resp : drainAll(mem, sm, now)) {
                 ASSERT_FALSE(resp.write);
                 auto it = outstanding.find(resp.lineAddr);
                 ASSERT_NE(it, outstanding.end())
@@ -88,8 +99,7 @@ TEST_P(MemConservation, EveryLoadGetsExactlyOneResponse)
         ++now;
         mem.tick(now);
         for (int sm = 0; sm < num_sms; ++sm)
-            returned +=
-                static_cast<int>(mem.drainResponses(sm, now, 100).size());
+            returned += static_cast<int>(drainAll(mem, sm, now).size());
     }
     EXPECT_EQ(returned, injected);
     EXPECT_TRUE(outstanding.empty());
