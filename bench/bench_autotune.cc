@@ -15,9 +15,8 @@
  * doubles as a check that the probe-feature tracer is observational).
  *
  * Usage:
- *   bench_autotune [kernels=<k1,k2,...>] [prefix=<n>] [threads=<n>]
- *                  [probe_points=<n>] [pareto_slack=<f>] [max_cta=<n>]
- *                  [export=<path>]
+ *   bench_autotune [kernels=<k1,k2,...>] [prefix=<n>] [probe_points=<n>]
+ *                  [pareto_slack=<f>] [max_cta=<n>] [export=<path>]
  *
  * max_cta=<n> caps the CTA axis for a reduced-cost run (CI smoke);
  * export= writes the model sweep tables of every kernel in the
@@ -44,7 +43,6 @@ main(int argc, char **argv)
         std::vector<Knob>{
             {"kernels", "roster kernels to autotune", {}},
             {"prefix", "shared warm-up invocations", {}},
-            {"threads", "worker threads (1 = serial, 0 = hardware)", {}},
             {"probe_points", "probe simulations the model fits to", {}},
             {"pareto_slack", "epsilon of the predicted frontier cut",
              {}},
@@ -59,8 +57,7 @@ main(int argc, char **argv)
     const int max_cta = static_cast<int>(cfg.getInt("max_cta", 0));
     const std::string json_path = cfg.getString("export", "");
 
-    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480(),
-                            static_cast<int>(cfg.getInt("threads", 1)));
+    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480());
     const GpuConfig gcfg = runner.gpuConfig();
 
     ExportSink sink = ExportSink::sweepTable();

@@ -14,7 +14,7 @@
  *
  * Usage:
  *   bench_fork_sweep [kernel=<name>] [invocations=<n>] [prefix=<n>]
- *                    [threads=<n>] [export=<path>]
+ *                    [export=<path>]
  *
  * invocations=<n> synthesizes an n-invocation schedule from the chosen
  * roster kernel; prefix=<n> of those are the shared warm-up.
@@ -55,7 +55,6 @@ main(int argc, char **argv)
             {"kernel", "roster kernel to sweep", {}},
             {"invocations", "synthesized invocation count", {}},
             {"prefix", "shared warm-up invocations", {}},
-            {"threads", "worker threads (1 = serial, 0 = hardware)", {}},
             {"export", "write the sweep table (.csv/.json)", {}},
         });
     const std::string kernel = cfg.getString("kernel", "sgemm");
@@ -81,8 +80,7 @@ main(int argc, char **argv)
            std::to_string(prefix) + "-invocation shared prefix of " +
            std::to_string(invocations) + ")");
 
-    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480(),
-                            static_cast<int>(cfg.getInt("threads", 1)));
+    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480());
     SweepResult cold, warm;
     progress("cold sweep (prefix re-simulated per point)");
     plan.strategy = SweepStrategy::Cold;

@@ -7,22 +7,20 @@
  *
  * Usage:
  *   bench_multi_tenant [tenants=a,b] [sm_limit=l0,l1,...]
- *                      [partition=rr|blocked] [threads=<n>]
- *                      [repeats=<n>] [export=<path>]
+ *                      [partition=rr|blocked] [repeats=<n>]
+ *                      [export=<path>]
  *   sm_limit entries pair positionally with tenants; missing entries
  *   default to 1.0 (unlimited).
  */
 
 #include <algorithm>
 #include <chrono>
-#include <memory>
 
 #include "bench_util.hh"
 #include "common/config.hh"
 #include "common/log.hh"
 #include "harness/co_run.hh"
 #include "harness/export.hh"
-#include "sim/parallel_executor.hh"
 
 using namespace equalizer;
 using namespace equalizer::bench;
@@ -59,7 +57,6 @@ main(int argc, char **argv)
             {"sm_limit", "per-tenant SM-utilization caps (positional)",
              {}},
             {"partition", "SM partition policy: rr or blocked", {}},
-            {"threads", "simulation worker threads (1 = serial)", {}},
             {"repeats", "timings per co-run; best is reported", {}},
             {"export", "write the per-tenant table (.csv/.json)",
              {}},
@@ -72,7 +69,6 @@ main(int argc, char **argv)
         fatal("sm_limit has more entries than tenants");
     const PartitionPolicy partition =
         partitionPolicyFromName(cfg.getString("partition", "rr"));
-    const int threads = static_cast<int>(cfg.getInt("threads", 1));
     const int repeats =
         std::max(1, static_cast<int>(cfg.getInt("repeats", 3)));
     const std::string export_path = cfg.getString("export", "");
@@ -86,8 +82,8 @@ main(int argc, char **argv)
         tenants.push_back(std::move(t));
     }
 
-    banner("multi-tenant co-run (threads=" + std::to_string(threads) +
-           ", repeats=" + std::to_string(repeats) + ")");
+    banner("multi-tenant co-run (repeats=" + std::to_string(repeats) +
+           ")");
 
     CoRunOptions opts;
     opts.partition = partition;
@@ -96,11 +92,6 @@ main(int argc, char **argv)
     CoRunResult result;
     for (int i = 0; i < repeats; ++i) {
         GpuTop gpu(GpuConfig::gtx480());
-        std::unique_ptr<ParallelExecutor> exec;
-        if (threads != 1) {
-            exec = std::make_unique<ParallelExecutor>(threads);
-            gpu.setParallelExecutor(exec.get());
-        }
         progress("co-run repeat " + std::to_string(i + 1));
         const auto start = std::chrono::steady_clock::now();
         CoRunResult r = runCoRun(gpu, tenants, opts);
@@ -126,7 +117,6 @@ main(int argc, char **argv)
     sink.meta("bench", ExportCell::str("multi_tenant"));
     sink.meta("partition",
               ExportCell::str(partitionPolicyName(partition)));
-    sink.meta("threads", ExportCell::integer(threads));
     sink.meta("co_run", ExportCell::str(result.combined.kernel));
     sink.meta("sm_cycles",
               ExportCell::integer(

@@ -4,7 +4,7 @@
  * characteristics alongside the paper's structural parameters.
  *
  * Usage:
- *   bench_table2_roster [kernels=<n>] [threads=<n>] [export=<path>]
+ *   bench_table2_roster [kernels=<n>] [export=<path>]
  *
  * kernels=<n> truncates the roster to its first n entries (the CI smoke
  * job uses this as a reduced budget); export=<path> additionally
@@ -27,14 +27,12 @@ main(int argc, char **argv)
         std::vector<Knob>{
             {"kernels", "truncate the roster to its first n entries",
              {}},
-            {"threads", "worker threads (1 = serial, 0 = hardware)", {}},
             {"export", "write measured rows (.csv/.json)", {}},
         });
     const auto limit = cfg.getInt("kernels", -1);
     const std::string json_path = cfg.getString("export", "");
 
-    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480(),
-                            static_cast<int>(cfg.getInt("threads", 1)));
+    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480());
     ExportSink sink = ExportSink::metricsTable();
     sink.meta("bench", ExportCell::str("table2_roster"));
 

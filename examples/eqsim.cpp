@@ -16,9 +16,6 @@
  *   sms=<n> issue_width=<n> lsu_depth=<n> reg_ports=<n>
  *   scheduler=lrr|gto sm_mhz=<f> mem_mhz=<f>
  *   epoch=<cycles> hysteresis=<n> sample=<cycles>
- *   threads=<n> (simulation worker threads; 1 = serial, the default
- *                and the fastest on one kernel; 0 = hardware
- *                concurrency; results are identical for any value)
  *   fast_path=<0|1> (cycle-skipping fast path, default on; results are
  *                bit-identical either way — fast_path=0 is the slow
  *                oracle for debugging, see docs/FAST_PATH.md)
@@ -129,22 +126,6 @@ policyKnob(const Config &cfg)
     return policies::byName(cfg.getString("policy", "baseline"), ecfg);
 }
 
-/** The threads= knob: simulation worker threads, serial by default. */
-int
-threadsKnob(const Config &cfg)
-{
-    return static_cast<int>(cfg.getInt("threads", 1));
-}
-
-/** The worker pool threads= asks for; nullptr is the serial path. */
-std::unique_ptr<ParallelExecutor>
-executorKnob(const Config &cfg)
-{
-    const int threads = threadsKnob(cfg);
-    return threads == 1 ? nullptr
-                        : std::make_unique<ParallelExecutor>(threads);
-}
-
 /** The documented knob registry (printed by list=1). */
 const std::vector<Knob> &
 knobs()
@@ -163,8 +144,6 @@ knobs()
         {"epoch", "Equalizer decision epoch in cycles", {}},
         {"hysteresis", "Equalizer hysteresis threshold", {}},
         {"sample", "warp-state sample interval in cycles", {}},
-        {"threads",
-         "simulation worker threads (1 = serial, 0 = hardware)", {}},
         {"fast_path",
          "cycle-skipping fast path (1 = on, 0 = slow oracle)", {}},
         {"warm_start", "baseline invocations to warm up before the "
@@ -245,8 +224,10 @@ class TraceSession
         if (path_.empty())
             return;
         TraceConfig tcfg;
-        tcfg.bufKb =
-            static_cast<std::size_t>(cfg.getInt("trace_buf_kb", 64));
+        const std::int64_t buf_kb = cfg.getInt("trace_buf_kb", 64);
+        if (buf_kb <= 0)
+            fatal("trace_buf_kb= must be positive, got ", buf_kb);
+        tcfg.bufKb = static_cast<std::size_t>(buf_kb);
         tcfg.epochCycles = cyclesKnob(cfg, "trace_epoch", 4096);
         if (chromeTracePath(path_)) {
             mem_ = std::make_unique<MemoryTraceSink>();
@@ -344,11 +325,6 @@ runServeMode(const Config &cfg, const GpuConfig &gcfg)
             gpus.back()->forkFrom(*gpus.front());
     }
     GpuTop &gpu = *gpus.front();
-    // One shared worker pool: the serve loop steps one device at a
-    // time, so the pool is never contended across devices.
-    const auto executor = executorKnob(cfg);
-    for (auto &g : gpus)
-        g->setParallelExecutor(executor.get());
 
     TraceSession trace(cfg);
     gpu.setTracer(trace.tracer());
@@ -365,8 +341,7 @@ runServeMode(const Config &cfg, const GpuConfig &gcfg)
               << toString(spec.kind) << " arrivals, dispatcher "
               << toString(policy) << ", admission "
               << toString(admission) << ", " << devices
-              << " device(s) x " << gcfg.numSms << " SMs, "
-              << gpu.simThreads() << " sim thread(s)\n";
+              << " device(s) x " << gcfg.numSms << " SMs\n";
 
     std::vector<GpuTop *> gpu_ptrs;
     for (auto &g : gpus)
@@ -497,7 +472,7 @@ runSearchMode(const Config &cfg, const GpuConfig &gcfg)
               "'");
     const ZooEntry &entry =
         KernelZoo::byName(cfg.getString("kernel", "kmn"));
-    ExperimentRunner runner(gcfg, PowerConfig::gtx480(), threadsKnob(cfg));
+    ExperimentRunner runner(gcfg, PowerConfig::gtx480());
 
     SweepPlan plan;
     plan.kernel = entry.params;
@@ -519,8 +494,7 @@ runSearchMode(const Config &cfg, const GpuConfig &gcfg)
 
     std::cout << "autotune (" << search << ") of " << entry.params.name
               << " after " << plan.prefixInvocations
-              << " warm-up invocation(s), " << gcfg.numSms << " SMs, "
-              << runner.threads() << " sim thread(s)\n";
+              << " warm-up invocation(s), " << gcfg.numSms << " SMs\n";
 
     const SweepResult res = runner.runSweep(plan);
     int simulated = 0;
@@ -622,8 +596,6 @@ runTenantsMode(const Config &cfg, const GpuConfig &gcfg)
     }
 
     GpuTop gpu(gcfg, PowerConfig::gtx480());
-    const auto executor = executorKnob(cfg);
-    gpu.setParallelExecutor(executor.get());
     std::unique_ptr<GpuController> controller = policy.build();
     gpu.setController(controller.get());
 
@@ -631,8 +603,7 @@ runTenantsMode(const Config &cfg, const GpuConfig &gcfg)
     gpu.setTracer(trace.tracer());
 
     std::cout << "co-run of " << kernels.size() << " tenant(s), policy "
-              << policy.name << ", " << gcfg.numSms << " SMs, "
-              << gpu.simThreads() << " sim thread(s)\n";
+              << policy.name << ", " << gcfg.numSms << " SMs\n";
 
     CoRunOptions opts;
     opts.partition = partition;
@@ -744,15 +715,14 @@ main(int argc, char **argv)
     if (strategy == SweepStrategy::Model)
         fatal("sweep_mode=model is not a warm-start handoff; use "
               "search=model for the autotuner");
-    ExperimentRunner runner(gcfg, PowerConfig::gtx480(), threadsKnob(cfg));
+    ExperimentRunner runner(gcfg, PowerConfig::gtx480());
     const PolicySpec policy = policyKnob(cfg);
     TraceSession trace(cfg);
     runner.setTracer(trace.tracer());
 
     std::cout << "kernel " << kernel_name << " ("
               << kernelCategoryName(entry.params.category) << "), policy "
-              << policy.name << ", " << gcfg.numSms << " SMs, "
-              << runner.threads() << " sim thread(s)";
+              << policy.name << ", " << gcfg.numSms << " SMs";
     if (warm_start > 0) {
         std::cout << ", warm start after " << warm_start
                   << " baseline invocation(s) (" << sweep_mode << ")";

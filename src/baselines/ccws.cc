@@ -100,10 +100,7 @@ Ccws::visitControllerState(StateVisitor &v, GpuTop &gpu)
         buildStates(gpu);
         installHooks(gpu);
     }
-    std::uint64_t lost = lostEvents_.load();
-    v.field(lost);
-    if (!v.saving())
-        lostEvents_.store(lost);
+    v.field(lostEvents_);
     const std::uint64_t n = sms_.size();
     v.expectMatch(n, "ccws per-SM state count");
     for (auto &st : sms_) {
@@ -168,7 +165,7 @@ Ccws::onSmCycle(GpuTop &gpu)
         tracer->gauges().set("ccws_allowed_warps",
                              static_cast<double>(allowed));
         tracer->gauges().set("ccws_lost_locality_events",
-                             static_cast<double>(lostEvents_.load()));
+                             static_cast<double>(lostEvents_));
     }
 }
 

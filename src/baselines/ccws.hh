@@ -13,7 +13,6 @@
 #ifndef EQ_BASELINES_CCWS_HH
 #define EQ_BASELINES_CCWS_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -88,9 +87,8 @@ class Ccws : public GpuController
 
     CcwsConfig cfg_;
     std::vector<std::unique_ptr<SmState>> sms_;
-    /// Bumped from per-SM L1 miss hooks, which run on worker threads
-    /// under parallel execution; the count is order-independent.
-    std::atomic<std::uint64_t> lostEvents_{0};
+    /// Bumped from the per-SM L1 miss hooks.
+    std::uint64_t lostEvents_ = 0;
 };
 
 } // namespace equalizer

@@ -54,28 +54,11 @@ GpuTop::tickSms(Cycle mem_now)
     };
 
     std::size_t ticked = 0;
-    if (!executor_ || executor_->threads() == 1) {
-        for (int s = 0; s < numSms(); ++s) {
-            if (due(s)) {
-                ++ticked;
-                tick(s);
-            }
+    for (int s = 0; s < numSms(); ++s) {
+        if (due(s)) {
+            ++ticked;
+            tick(s);
         }
-    } else {
-        // The parallel phase: SMs share no mutable state with each
-        // other (each owns its warps, L1, LSU, injection/response
-        // queues, energy shard and wake slot), so the due ones may tick
-        // concurrently. Everything after this call runs on the calling
-        // thread — the epoch barrier.
-        awake_.clear();
-        for (int s = 0; s < numSms(); ++s)
-            if (due(s))
-                awake_.push_back(s);
-        ticked = awake_.size();
-        const int n = static_cast<int>(ticked);
-        executor_->parallelFor(n, [this, &tick](int i) {
-            tick(awake_[static_cast<std::size_t>(i)]);
-        });
     }
     smTicks_ += ticked;
 
@@ -160,9 +143,7 @@ GpuTop::defineTenantGauges()
 void
 GpuTop::traceEpoch(Cycle cycle)
 {
-    // Per-SM queue high-water marks, collected at the barrier where
-    // nothing else runs (the counters are single-writer during the
-    // parallel phase; reading them here is ordered by the join).
+    // Per-SM queue high-water marks, collected after the SMs tick.
     std::uint64_t issued = 0;
     std::uint64_t l1_hits = 0;
     std::uint64_t l1_misses = 0;
@@ -196,9 +177,7 @@ GpuTop::traceEpoch(Cycle cycle)
     g.set("mean_dram_queue_depth", memSystem_.meanDramQueueDepth());
 
     // Per-tenant attribution gauges (explicit tenants only, so the
-    // single-tenant trace format is unchanged). Set here in the serial
-    // barrier — the canonical drain keeps traces byte-identical across
-    // thread counts.
+    // single-tenant trace format is unchanged).
     if (explicitTenants_) {
         for (const auto &t : tenants_) {
             g.set(t.gaugeDispatched(),

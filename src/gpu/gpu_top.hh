@@ -24,7 +24,6 @@
 #include "mem/memory_system.hh"
 #include "power/energy_model.hh"
 #include "sim/clock_domain.hh"
-#include "sim/parallel_executor.hh"
 #include "sim/state.hh"
 #include "trace/tracer.hh"
 
@@ -85,25 +84,6 @@ class GpuTop
     void clearPolicyHooks();
 
     /**
-     * Install a worker pool for the per-SM parallel phase (non-owning;
-     * nullptr or a 1-thread pool selects the serial oracle path). SMs
-     * then tick concurrently between epoch barriers; the memory system,
-     * controller hooks, observers, work distribution and stats all stay
-     * on the calling thread, so results are bit-identical to the serial
-     * path for any thread count (docs/PARALLELISM.md).
-     */
-    void setParallelExecutor(ParallelExecutor *executor)
-    {
-        executor_ = executor;
-    }
-
-    /** Threads used for the SM phase (1 = serial path). */
-    int simThreads() const
-    {
-        return executor_ ? executor_->threads() : 1;
-    }
-
-    /**
      * Install a per-SM-cycle observer (tracing for figures). Runs after
      * the controller hook. It may read anything, so while one is
      * installed every SM ticks every cycle.
@@ -114,8 +94,7 @@ class GpuTop
      * Install the epoch-level tracer (non-owning; nullptr detaches).
      * Attaches a ring to every SM, registers the built-in device
      * gauges (plus per-tenant gauges when tenants are configured), and
-     * drains at every tracer epoch boundary inside the serial barrier
-     * phase — so a threads=N trace is byte-identical to threads=1
+     * drains at every tracer epoch boundary, after the SMs tick
      * (docs/TRACING.md).
      */
     void setTracer(Tracer *tracer);
@@ -372,7 +351,7 @@ class GpuTop
     void completeInvocation(KernelInvocation &inv);
 
     /**
-     * Per-SM-cycle tenant bookkeeping in the serial barrier phase:
+     * Per-SM-cycle tenant bookkeeping, after the SMs tick:
      * token-bucket limiter steps, and — when a tenant's grid drains —
      * invocation completion and relaunch of its next queued kernel.
      * Skipped entirely for the implicit single tenant (zero overhead
@@ -397,7 +376,6 @@ class GpuTop
     std::vector<std::unique_ptr<StreamingMultiprocessor>> sms_;
 
     GpuController *controller_ = nullptr;
-    ParallelExecutor *executor_ = nullptr;
     Tracer *tracer_ = nullptr;
     std::function<void(GpuTop &)> observer_;
 
@@ -424,7 +402,6 @@ class GpuTop
     // checkpoint/restore while every simulated quantity stays equal).
     /// Per SM: the SM cycle a sleeping SM next ticks at, 0 when awake.
     std::vector<Cycle> wakeAt_;
-    std::vector<int> awake_; ///< SMs ticked at this edge (reused)
     Cycle fastForwardedCycles_ = 0; ///< edges with every SM asleep
     Cycle ffAtRunStart_ = 0;  ///< counter value at beginRun()
     std::uint64_t smTicks_ = 0; ///< SM ticks run (RunMetrics::smTicks)

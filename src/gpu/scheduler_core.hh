@@ -7,8 +7,8 @@
  * advance the device by bounded quanta and regain control between
  * them. Pausing between clock edges is state-neutral, so a run
  * advanced via any sequence of step() calls is bit-identical to a
- * single run-to-completion call at any threads= setting, with
- * tracing/checkpointing behaviour untouched.
+ * single run-to-completion call, with tracing/checkpointing behaviour
+ * untouched.
  *
  * All mutable run state stays inside GpuTop (its RunContext is part of
  * the checkpoint image); a SchedulerCore is a cheap, stateless

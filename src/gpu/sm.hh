@@ -198,8 +198,8 @@ class StreamingMultiprocessor
 
     /**
      * Bind this SM's trace ring (non-owning; nullptr detaches). Only
-     * this SM writes to it during the parallel phase; GpuTop drains it
-     * serially at tracer epoch boundaries.
+     * this SM writes to it; GpuTop drains it at tracer epoch
+     * boundaries.
      */
     void setTraceRing(TraceRing *ring) { traceRing_ = ring; }
 

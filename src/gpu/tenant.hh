@@ -67,8 +67,8 @@ inline constexpr double tenantLimiterBurstCycles = 256.0;
  * fraction converges to smLimit: the balance is bounded above by the
  * burst cap and below by the deepest debt one grant can incur, so
  * average inflow must equal average spend. Everything is deterministic
- * and serialized, so limited co-runs checkpoint and stay bit-identical
- * across thread counts.
+ * and serialized, so limited co-runs checkpoint and restore
+ * bit-identically.
  */
 class Tenant
 {

@@ -73,15 +73,9 @@ ExperimentRunner::ExperimentRunner(GpuConfig gpu_cfg, PowerConfig power_cfg,
                                    int threads)
     : gpuCfg_(gpu_cfg), powerCfg_(power_cfg)
 {
-    const int n = ParallelExecutor::resolveThreads(threads);
-    if (n > 1)
-        executor_ = std::make_unique<ParallelExecutor>(n);
-}
-
-int
-ExperimentRunner::threads() const
-{
-    return executor_ ? executor_->threads() : 1;
+    if (threads < 0)
+        fatal("ExperimentRunner threads must not be negative, got ",
+              threads);
 }
 
 namespace
@@ -181,7 +175,6 @@ ExperimentRunner::runByName(const std::string &kernel_name,
 void
 ExperimentRunner::wire(GpuTop &gpu) const
 {
-    gpu.setParallelExecutor(executor_.get());
     if (tracer_)
         gpu.setTracer(tracer_);
 }

@@ -8,7 +8,6 @@
 #define EQ_HARNESS_RUNNER_HH
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -19,7 +18,6 @@
 #include "kernels/kernel_params.hh"
 #include "kernels/synthetic_kernel.hh"
 #include "power/energy_model.hh"
-#include "sim/parallel_executor.hh"
 
 namespace equalizer
 {
@@ -100,19 +98,14 @@ class ExperimentRunner
     using Instrument = std::function<void(GpuTop &, GpuController *)>;
 
     /**
-     * @param threads Worker threads for the per-SM parallel phase:
-     *        1 = the serial path (the default, and still the fastest:
-     *        threads=2 reaches about 0.85-0.95x of serial speed on the
-     *        stock 15-SM GPU), 0 = hardware concurrency, negative is a
-     *        fatal() error. Results are bit-identical either way; the
-     *        knob only trades wall-clock time.
+     * @param threads Accepted, no effect: every run ticks its SMs on
+     *        the calling thread. Kept because bench/e2e passes it,
+     *        until the next benchmark change (ROADMAP item 3).
+     *        Negative is a fatal() error.
      */
     explicit ExperimentRunner(GpuConfig gpu_cfg = GpuConfig::gtx480(),
                               PowerConfig power_cfg = PowerConfig::gtx480(),
                               int threads = 1);
-
-    /** Threads the runner will use for the SM phase. */
-    int threads() const;
 
     /**
      * Record every subsequent run into @p tracer (nullptr disables).
@@ -169,13 +162,12 @@ class ExperimentRunner
     const GpuConfig &gpuConfig() const { return gpuCfg_; }
 
   private:
-    /** Install the runner's worker pool and tracer on a fresh GPU. */
+    /** Install the runner's tracer on a fresh GPU. */
     void wire(GpuTop &gpu) const;
 
     GpuConfig gpuCfg_;
     PowerConfig powerCfg_;
     Tracer *tracer_ = nullptr;
-    std::unique_ptr<ParallelExecutor> executor_; ///< null = serial path
     std::vector<std::pair<std::string, AppRunResult>> cache_;
 };
 

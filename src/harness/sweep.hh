@@ -59,7 +59,7 @@ struct OperatingPoint
 /**
  * Declarative VF x CTA grid. Points expand in a fixed order (SM state
  * major, then memory state, then CTA), so grid point ids are stable
- * across strategies and thread counts.
+ * across strategies.
  */
 struct SweepGrid
 {

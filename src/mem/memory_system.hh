@@ -87,8 +87,8 @@ class MemorySystem
     /**
      * Drain every completed load destined for @p sm whose network delay
      * has elapsed by @p mem_now, handing each to @p fn in queue order,
-     * in place. SM @p sm's tick calls it in the parallel phase: only
-     * that SM consumes its queue, and pushes happen on memory ticks.
+     * in place. Only SM @p sm's tick consumes its queue; pushes happen
+     * on memory ticks.
      */
     template <class Fn>
     void

@@ -124,8 +124,8 @@ EnergyModel::staticJoules(
 double
 EnergyModel::dynamicJoules() const
 {
-    // Reduce shards in fixed (event, serial-then-SM) order so the total
-    // is the same double no matter how many threads recorded the events.
+    // Reduce shards in fixed (event, shared-then-SM) order so the total
+    // is the same double however the events were spread over shards.
     double total = 0.0;
     for (int i = 0; i < numEnergyEvents; ++i)
         total += dynamicJoules(static_cast<EnergyEvent>(i));

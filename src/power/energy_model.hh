@@ -122,11 +122,9 @@ const char *energyEventName(EnergyEvent e);
  * Accounting is sharded: components that belong to one SM record into
  * that SM's shard (via the record overloads taking an SM id), while
  * memory-system components and standalone users record into a shared
- * serial shard. During the parallel SM phase each shard is written by
- * exactly one thread, so no synchronization is needed, and every query
- * reduces the shards in fixed index order — which makes the reported
- * energy bit-identical for any thread count, including the serial
- * oracle (see docs/PARALLELISM.md).
+ * shard. Every query reduces the shards in fixed index order, so the
+ * reported joules are the same doubles whichever order the SMs ticked
+ * in or slept.
  */
 class EnergyModel
 {
@@ -271,11 +269,8 @@ class EnergyModel
     }
 
   private:
-    /**
-     * One accumulator. Cache-line aligned so per-SM shards written
-     * concurrently by different workers never false-share.
-     */
-    struct alignas(64) Shard
+    /** One accumulator. */
+    struct Shard
     {
         std::array<double, numEnergyEvents> joules{};
         std::array<std::uint64_t, numEnergyEvents> counts{};

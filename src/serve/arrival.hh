@@ -2,7 +2,7 @@
  * @file
  * Open-loop arrival processes for the serving frontend: a Poisson
  * generator (deterministic splitmix64 stream, so a fixed seed gives a
- * byte-identical request schedule on every host and threads= setting)
+ * byte-identical request schedule on every host)
  * and a plain-text trace format for replaying a committed schedule.
  */
 

@@ -34,12 +34,11 @@
  * SchedulerCore, and the dispatch pick is deterministic — the lowest
  * predicted-free device, index tie-break.
  *
- * Determinism: the device simulation is bit-identical at any threads=
- * setting, arrivals are a pure function of the spec, and every
- * dispatch decision is serial arithmetic over those quantities — so a
- * whole serve() run (per-request records, percentiles, trace bytes)
- * is byte-identical across thread counts for a fixed seed, at any
- * device count.
+ * Determinism: the device simulation is deterministic, arrivals are a
+ * pure function of the spec, and every dispatch decision is
+ * arithmetic over those quantities — so a whole serve() run
+ * (per-request records, percentiles, trace bytes) is byte-identical
+ * for a fixed seed, at any device count.
  */
 
 #ifndef EQ_SERVE_SERVER_HH

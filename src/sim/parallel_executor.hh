@@ -1,15 +1,13 @@
 /**
  * @file
- * A persistent worker pool for deterministic per-SM parallel simulation.
+ * A persistent fork-join worker pool.
  *
- * Each simulation slice, the GPU top-level dispatches one parallelFor()
- * over the SMs (the parallel phase), then runs the shared memory system,
- * controller hooks and stats aggregation serially on the calling thread
- * (the epoch barrier). Work is split into contiguous index chunks with a
- * static partition, so the assignment of items to workers is a pure
- * function of (n, thread count) — nothing about the schedule depends on
- * timing, which is one half of the determinism argument (the other half
- * is that parallel items share no mutable state; see docs/PARALLELISM.md).
+ * A simulation ticks its SMs on the calling thread; no simulator code
+ * uses this pool. It is kept for parallelism across whole runs and
+ * sweep points (docs/PARALLELISM.md, ROADMAP item 3). Work is split
+ * into contiguous index chunks with a static partition, so the
+ * assignment of items to workers is a pure function of (n, thread
+ * count) and never depends on timing.
  */
 
 #ifndef EQ_SIM_PARALLEL_EXECUTOR_HH
@@ -31,8 +29,7 @@ namespace equalizer
  * and returns when all calls have completed (the epoch barrier). The
  * calling thread participates as worker 0, so a pool of T threads uses
  * T-1 spawned workers. With threads() == 1 the loop runs inline and no
- * threads are ever spawned — the legacy serial path, kept as the oracle
- * the parallel path is validated against.
+ * threads are ever spawned.
  *
  * parallelFor is not reentrant and must always be called from the same
  * (owning) thread.

@@ -5,8 +5,8 @@
  *
  * The stream is self-describing: the first sample after a gauge is
  * defined emits a GaugeDef event carrying the name, and every sample
- * emits one Gauge event per registered gauge (a fixed count per epoch,
- * keeping traces byte-identical across thread counts). The `sm` field
+ * emits one Gauge event per registered gauge (a fixed count per
+ * epoch). The `sm` field
  * of both kinds carries the gauge id.
  */
 

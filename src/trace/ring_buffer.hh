@@ -3,13 +3,9 @@
  * The per-SM trace ring: a fixed-capacity FIFO of TraceEvents with
  * counted-drop overflow semantics.
  *
- * Concurrency contract: during the parallel SM phase each ring is
- * written only by the one worker thread ticking its SM; the serial
- * drain runs in the epoch barrier after the executor has joined all
- * workers, so writer and drainer are ordered by the barrier and no
- * atomics are needed — the ring is lock-free by construction, the same
- * partitioning argument as the per-SM energy shards
- * (docs/PARALLELISM.md).
+ * Each ring is written only by its own SM's tick and drained at tracer
+ * epoch boundaries. The per-SM capacity and drop counts are part of
+ * the trace bytes, so rings stay per SM.
  */
 
 #ifndef EQ_TRACE_RING_BUFFER_HH
@@ -34,8 +30,8 @@ class TraceRing
 
     /**
      * Append one event. When the ring is full the event is dropped and
-     * counted — tracing must never block or slow the simulation, and a
-     * deterministic drop count keeps threads=N traces byte-identical.
+     * counted — tracing must never block or slow the simulation, and the
+     * drop count is recorded in the trace.
      */
     void
     push(const TraceEvent &e)

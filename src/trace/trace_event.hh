@@ -4,9 +4,7 @@
  * subsystem (docs/TRACING.md).
  *
  * Events are fixed-size, trivially copyable records so a ring buffer is
- * an array, a trace file is a header plus a flat run of records, and a
- * threads=N run serializes bit-identically to threads=1 (the drain
- * order is simulated-time order, never thread order).
+ * an array and a trace file is a header plus a flat run of records.
  */
 
 #ifndef EQ_TRACE_TRACE_EVENT_HH

@@ -1,6 +1,7 @@
 #include "tracer.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/log.hh"
 
@@ -26,6 +27,8 @@ Tracer::Tracer(TraceConfig cfg, TraceSink &sink)
               cfg.epochCycles);
     if (cfg.bufKb == 0)
         fatal("trace_buf_kb must be positive");
+    if (cfg.bufKb > std::numeric_limits<std::size_t>::max() / 1024)
+        fatal("trace_buf_kb = ", cfg.bufKb, " KiB overflows a byte count");
 }
 
 Tracer::~Tracer()

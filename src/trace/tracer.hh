@@ -1,16 +1,16 @@
 /**
  * @file
- * The Tracer: per-SM lock-free event rings, a serial emit path for
- * barrier-phase components (Equalizer, the frequency manager, clock
- * domains), per-epoch gauge sampling, and the serial drain that hands
+ * The Tracer: per-SM event rings, a direct emit path for device-level
+ * components (Equalizer, the frequency manager, clock domains),
+ * per-epoch gauge sampling, and the epoch drain that hands
  * canonically-ordered batches to a TraceSink.
  *
  * Ordering contract (the determinism guarantee): events reach the sink
- * in simulated-time order — serial emits in program order, then at
+ * in simulated-time order — direct emits in program order, then at
  * every epoch boundary the gauges followed by each SM's ring drained
- * in SM index order. None of this depends on which worker thread
- * ticked an SM, so a threads=N trace is byte-identical to threads=1
- * (tests/trace_test.cc asserts it).
+ * in SM index order. Whether an SM slept or ticked every cycle does
+ * not change the order, so fast_path=0 and 1 write the same trace
+ * bytes (tests/fast_path_test.cc asserts it).
  */
 
 #ifndef EQ_TRACE_TRACER_HH
@@ -60,7 +60,7 @@ class Tracer
     bool attached() const { return !rings_.empty(); }
     int numSms() const { return static_cast<int>(rings_.size()); }
 
-    /** The ring an SM writes into during the parallel phase. */
+    /** The ring an SM writes into during its tick. */
     TraceRing *ring(int sm)
     {
         return rings_[static_cast<std::size_t>(sm)].get();
@@ -72,7 +72,7 @@ class Tracer
         return (cycle & epochMask_) == 0;
     }
 
-    /** Serial-phase emit: append directly to the pending batch. */
+    /** Device-level emit: append directly to the pending batch. */
     void
     emit(const TraceEvent &e)
     {
@@ -84,9 +84,9 @@ class Tracer
     GaugeRegistry &gauges() { return gauges_; }
 
     /**
-     * The serial epoch drain: sample gauges, drain every ring in SM
+     * The epoch drain: sample gauges, drain every ring in SM
      * index order (recording per-SM drop counts), and hand the batch
-     * to the sink. Must run in the barrier phase.
+     * to the sink. Runs after every SM has ticked the boundary cycle.
      */
     void drainEpoch(Cycle cycle);
 

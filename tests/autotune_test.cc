@@ -408,38 +408,6 @@ TEST(SweepApi, ModelSweepMeasurementsMatchExhaustive)
     EXPECT_GT(model.probeEpochSamples, 0u);
 }
 
-TEST(AutotuneDeterminism, ModelSweepIdenticalAcrossThreads)
-{
-    // The whole model pipeline — probes, fit, frontier, extra sims —
-    // must be bit-identical whether the SMs tick serially or on two
-    // workers.
-    ExperimentRunner serial(GpuConfig::gtx480(), PowerConfig::gtx480(),
-                            1);
-    ExperimentRunner parallel(GpuConfig::gtx480(),
-                              PowerConfig::gtx480(), 2);
-    const SweepResult a =
-        serial.runSweep(smallPlan(SweepStrategy::Model));
-    const SweepResult b =
-        parallel.runSweep(smallPlan(SweepStrategy::Model));
-
-    ASSERT_EQ(a.table.size(), b.table.size());
-    for (std::size_t i = 0; i < a.table.size(); ++i) {
-        EXPECT_EQ(a.table[i].simulated, b.table[i].simulated) << i;
-        EXPECT_EQ(a.table[i].predictedSeconds,
-                  b.table[i].predictedSeconds) << i;
-        EXPECT_EQ(a.table[i].predictedJoules,
-                  b.table[i].predictedJoules) << i;
-        EXPECT_EQ(a.table[i].measuredSeconds, b.table[i].measuredSeconds)
-            << i;
-        EXPECT_EQ(a.table[i].measuredJoules, b.table[i].measuredJoules)
-            << i;
-    }
-    EXPECT_EQ(a.bestPerf, b.bestPerf);
-    EXPECT_EQ(a.bestEnergy, b.bestEnergy);
-    EXPECT_EQ(a.fitErrorSeconds, b.fitErrorSeconds);
-    EXPECT_EQ(a.probeEpochSamples, b.probeEpochSamples);
-}
-
 TEST(SweepApi, RunnerTracerReplacesTheProbeTrace)
 {
     // A runner-wide tracer records every point, so the model's first

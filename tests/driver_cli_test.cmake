@@ -2,8 +2,7 @@
 # options against its own knob roster, so a misspelled key ends in a
 # clean "[fatal]" error with exit code 1 instead of being ignored.
 #
-# Usage: cmake -DEQSIM=<path> -DPARALLEL_SCALING=<path>
-#              -DQUICKSTART=<path> -DDVFS_EXPLORER=<path>
+# Usage: cmake -DEQSIM=<path> -DQUICKSTART=<path> -DDVFS_EXPLORER=<path>
 #              -DEXPORT_METRICS=<path> -DAPP_PIPELINE=<path>
 #              -P driver_cli_test.cmake
 
@@ -30,13 +29,11 @@ expect_fatal(${APP_PIPELINE} "unknown option 'kernel'; known options: app mode"
              kernel=lbm)
 expect_fatal(${QUICKSTART} "malformed option 'lbm'" lbm)
 
-# Thread counts: negative is an error, never a silent serial run, and
-# every entry of a thread list is validated before any row runs.
-expect_fatal(${EQSIM} "threads= must not be negative, got -2"
-             kernel=sgemm threads=-2)
-expect_fatal(${EQSIM} "threads= must not be negative, got -1"
-             serve=1 threads=-1)
-expect_fatal(${PARALLEL_SCALING} "threads= must not be negative, got -3"
-             threads=0,-3)
-expect_fatal(${PARALLEL_SCALING} "option 'threads' has non-integer value 'two'"
-             threads=two)
+# A simulation runs on one thread. The retired threads= knob is an
+# unknown option, so a stale script fails loudly instead of quietly
+# running with a setting that no longer exists.
+expect_fatal(${EQSIM} "unknown option 'threads'" kernel=sgemm threads=2)
+
+# A non-positive trace ring size is a clean error, not an abort.
+expect_fatal(${EQSIM} "trace_buf_kb= must be positive, got -1"
+             kernel=sgemm trace=unused.trace trace_buf_kb=-1)

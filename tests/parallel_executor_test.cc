@@ -1,9 +1,7 @@
 /**
  * @file
- * Tests for the parallel per-SM execution path: ParallelExecutor
- * mechanics, bit-exact determinism of multi-threaded simulation against
- * the serial oracle, and the epoch-barrier ordering of the staged
- * SM->L2 injection queues.
+ * Tests for ParallelExecutor: chunking, running every index once per
+ * epoch, and the poll/block/wake/stop lifecycle of its workers.
  */
 
 #include <gtest/gtest.h>
@@ -13,12 +11,6 @@
 #include <thread>
 #include <vector>
 
-#include "gpu/gpu_top.hh"
-#include "harness/policies.hh"
-#include "harness/runner.hh"
-#include "kernels/kernel_zoo.hh"
-#include "kernels/synthetic_kernel.hh"
-#include "mem/memory_system.hh"
 #include "sim/parallel_executor.hh"
 
 namespace equalizer
@@ -176,181 +168,6 @@ TEST(ParallelExecutor, OversubscribedPoolHitsEveryIndexEachEpoch)
     for (int i = 0; i < n; ++i)
         EXPECT_EQ(hits[static_cast<std::size_t>(i)], epochs)
             << "index " << i;
-}
-
-// --- Bit-exact determinism against the serial oracle ------------------
-
-/** Every field of RunMetrics, compared exactly (doubles bit-for-bit). */
-void
-expectIdenticalMetrics(const RunMetrics &serial, const RunMetrics &par)
-{
-    EXPECT_EQ(serial.smCycles, par.smCycles);
-    EXPECT_EQ(serial.memCycles, par.memCycles);
-    EXPECT_EQ(serial.instructions, par.instructions);
-    EXPECT_EQ(serial.seconds, par.seconds);
-    EXPECT_EQ(serial.dynamicJoules, par.dynamicJoules);
-    EXPECT_EQ(serial.staticJoules, par.staticJoules);
-    EXPECT_EQ(serial.dramPowerDownFraction, par.dramPowerDownFraction);
-    EXPECT_EQ(serial.l1Hits, par.l1Hits);
-    EXPECT_EQ(serial.l1Misses, par.l1Misses);
-    EXPECT_EQ(serial.l2Hits, par.l2Hits);
-    EXPECT_EQ(serial.l2Misses, par.l2Misses);
-    EXPECT_EQ(serial.dramAccesses, par.dramAccesses);
-    EXPECT_EQ(serial.dramRowHits, par.dramRowHits);
-    EXPECT_EQ(serial.outcomeCycles, par.outcomeCycles);
-    EXPECT_EQ(serial.outcomeTotals.active, par.outcomeTotals.active);
-    EXPECT_EQ(serial.outcomeTotals.waiting, par.outcomeTotals.waiting);
-    EXPECT_EQ(serial.outcomeTotals.issued, par.outcomeTotals.issued);
-    EXPECT_EQ(serial.outcomeTotals.excessAlu,
-              par.outcomeTotals.excessAlu);
-    EXPECT_EQ(serial.outcomeTotals.excessMem,
-              par.outcomeTotals.excessMem);
-    EXPECT_EQ(serial.outcomeTotals.barrier, par.outcomeTotals.barrier);
-    for (int i = 0; i < numVfStates; ++i) {
-        const auto s = static_cast<std::size_t>(i);
-        EXPECT_EQ(serial.smResidency[s], par.smResidency[s]);
-        EXPECT_EQ(serial.memResidency[s], par.memResidency[s]);
-    }
-}
-
-class ParallelDeterminism
-    : public ::testing::TestWithParam<std::string>
-{};
-
-TEST_P(ParallelDeterminism, MetricsMatchSerialOracle)
-{
-    const std::string &kernel = GetParam();
-    ExperimentRunner serial(GpuConfig::gtx480(), PowerConfig::gtx480(),
-                            /*threads=*/1);
-    ExperimentRunner parallel(GpuConfig::gtx480(), PowerConfig::gtx480(),
-                              /*threads=*/4);
-    ASSERT_EQ(serial.threads(), 1);
-    ASSERT_EQ(parallel.threads(), 4);
-
-    const auto s = serial.runByName(kernel, policies::baseline());
-    const auto p = parallel.runByName(kernel, policies::baseline());
-    ASSERT_EQ(s.invocations.size(), p.invocations.size());
-    expectIdenticalMetrics(s.total, p.total);
-    for (std::size_t i = 0; i < s.invocations.size(); ++i)
-        expectIdenticalMetrics(s.invocations[i], p.invocations[i]);
-}
-
-// One kernel-zoo workload per paper category that the tuning studies
-// sweep: compute-, memory- and cache-sensitive.
-INSTANTIATE_TEST_SUITE_P(KernelZoo, ParallelDeterminism,
-                         ::testing::Values(std::string("sgemm"),
-                                           std::string("lbm"),
-                                           std::string("kmn")),
-                         [](const auto &info) { return info.param; });
-
-TEST(ParallelDeterminismPolicies, EqualizerPerfMatchesSerialOracle)
-{
-    // The DVFS vote + CTA throttling path: controller decisions feed
-    // back into SM state, so any divergence would compound visibly.
-    ExperimentRunner serial(GpuConfig::gtx480(), PowerConfig::gtx480(),
-                            /*threads=*/1);
-    ExperimentRunner parallel(GpuConfig::gtx480(), PowerConfig::gtx480(),
-                              /*threads=*/4);
-    const auto spec = policies::equalizer(EqualizerMode::Performance);
-    const auto s = serial.runByName("kmn", spec);
-    const auto p = parallel.runByName("kmn", spec);
-    expectIdenticalMetrics(s.total, p.total);
-}
-
-TEST(ParallelDeterminismPerSm, PerSmStateMatchesSerialOracle)
-{
-    // Per-SM residency/stat state, not just GPU-level aggregates.
-    KernelParams params = KernelZoo::byName("kmn").params;
-
-    GpuTop serial_gpu;
-    GpuTop parallel_gpu;
-    ParallelExecutor exec(4);
-    parallel_gpu.setParallelExecutor(&exec);
-    ASSERT_EQ(parallel_gpu.simThreads(), 4);
-
-    SyntheticKernel launch(params, 0);
-    serial_gpu.runKernel(launch);
-    parallel_gpu.runKernel(launch);
-
-    ASSERT_EQ(serial_gpu.numSms(), parallel_gpu.numSms());
-    for (int i = 0; i < serial_gpu.numSms(); ++i) {
-        const auto &s = serial_gpu.sm(i);
-        const auto &p = parallel_gpu.sm(i);
-        EXPECT_EQ(s.cycle(), p.cycle());
-        EXPECT_EQ(s.instructionsIssued(), p.instructionsIssued());
-        EXPECT_EQ(s.activeCycles(), p.activeCycles());
-        EXPECT_EQ(s.blocksCompleted(), p.blocksCompleted());
-        EXPECT_EQ(s.l1().hits(), p.l1().hits());
-        EXPECT_EQ(s.l1().misses(), p.l1().misses());
-        EXPECT_EQ(s.l1().writes(), p.l1().writes());
-    }
-}
-
-// --- Epoch-barrier ordering of the staged SM->L2 queues ---------------
-
-/**
- * The per-SM injection queues are the staging buffers of the parallel
- * phase: SMs push into their own queue concurrently, and the memory
- * system drains them at the barrier in fixed round-robin SM order. The
- * drain order therefore must depend only on queue contents, never on
- * the order in which different SMs staged their requests.
- */
-TEST(StagedInjectQueues, BarrierDrainOrderIgnoresStagingOrder)
-{
-    const MemConfig cfg = MemConfig::gtx480();
-    const int num_sms = 4;
-    EnergyModel e1, e2;
-    MemorySystem forward(cfg, num_sms, e1);
-    MemorySystem reverse(cfg, num_sms, e2);
-
-    // All requests target partition 0; the address encodes the SM.
-    auto addr_of = [&cfg](int sm) {
-        return static_cast<Addr>(sm) * lineBytes *
-               static_cast<Addr>(cfg.numPartitions);
-    };
-    for (int sm = 0; sm < num_sms; ++sm)
-        forward.smInjectQueue(sm).push(
-            MemAccess{addr_of(sm), sm, 0, false, false});
-    for (int sm = num_sms - 1; sm >= 0; --sm)
-        reverse.smInjectQueue(sm).push(
-            MemAccess{addr_of(sm), sm, 0, false, false});
-
-    // One barrier drain (one memory tick) moves them — bandwidth
-    // permitting — into the partition input queue.
-    forward.tick(1);
-    reverse.tick(1);
-
-    std::vector<SmId> forward_order, reverse_order;
-    const Cycle late = 1 + cfg.nocRequestLatency + 1;
-    while (auto a = forward.partition(0).input().popReady(late))
-        forward_order.push_back(a->sm);
-    while (auto a = reverse.partition(0).input().popReady(late))
-        reverse_order.push_back(a->sm);
-
-    ASSERT_FALSE(forward_order.empty());
-    EXPECT_EQ(forward_order, reverse_order);
-    // Fixed arbitration: ascending SM order on the first barrier.
-    for (std::size_t i = 1; i < forward_order.size(); ++i)
-        EXPECT_LT(forward_order[i - 1], forward_order[i]);
-}
-
-TEST(StagedInjectQueues, BackPressureIsIdenticalAcrossModes)
-{
-    // Overfill one SM's staging queue; the bounded capacity (the
-    // back-pressure signal Equalizer's X_mem counter observes) must be
-    // enforced identically however the queue was filled.
-    const MemConfig cfg = MemConfig::gtx480();
-    EnergyModel energy;
-    MemorySystem ms(cfg, 1, energy);
-    auto &q = ms.smInjectQueue(0);
-    std::size_t accepted = 0;
-    for (std::size_t i = 0; i < cfg.smInjectQueueCap + 3; ++i) {
-        if (q.push(MemAccess{static_cast<Addr>(i) * lineBytes, 0, 0,
-                             false, false}))
-            ++accepted;
-    }
-    EXPECT_EQ(accepted, cfg.smInjectQueueCap);
-    EXPECT_TRUE(q.full());
 }
 
 } // namespace

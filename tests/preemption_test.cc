@@ -4,7 +4,7 @@
  * checkpoint shelf mid-quantum, displaced by an interloper kernel on
  * the same warm device, and then restored must finish bit-identical to
  * the uninterrupted run — exported metrics and the traced event-stream
- * suffix — at any threads= setting. This is the property that lets
+ * suffix. This is the property that lets
  * the preemptive dispatcher treat eviction as free of simulation-side
  * effects (only the modeled wall-clock cost remains).
  */
@@ -23,7 +23,6 @@
 #include "harness/policies.hh"
 #include "kernels/kernel_zoo.hh"
 #include "kernels/synthetic_kernel.hh"
-#include "sim/parallel_executor.hh"
 #include "trace/sink.hh"
 #include "trace/trace_reader.hh"
 #include "trace/tracer.hh"
@@ -77,14 +76,14 @@ jsonOf(const std::string &kernel, const RunMetrics &m)
 struct PreemptCase
 {
     const char *kernel;
-    int threads;
 };
 
 // Keeps the listed test name free of pointer bytes (see table2_test.cc).
+// The " threads=1" suffix is only there to keep ctest names stable.
 void
 PrintTo(const PreemptCase &c, std::ostream *os)
 {
-    *os << c.kernel << " threads=" << c.threads;
+    *os << c.kernel << " threads=1";
 }
 
 class PreemptionIdentity : public ::testing::TestWithParam<PreemptCase>
@@ -101,8 +100,7 @@ class PreemptionIdentity : public ::testing::TestWithParam<PreemptCase>
  */
 TEST_P(PreemptionIdentity, ResumedVictimIsByteIdentical)
 {
-    const auto [kernel_name, threads] = GetParam();
-    const KernelParams &params = KernelZoo::byName(kernel_name).params;
+    const KernelParams &params = KernelZoo::byName(GetParam().kernel).params;
     const KernelParams &interloper_params =
         KernelZoo::byName("bp-1").params;
     const GpuConfig gcfg = GpuConfig::gtx480();
@@ -115,11 +113,7 @@ TEST_P(PreemptionIdentity, ResumedVictimIsByteIdentical)
     Tracer full_tracer(fastTrace(), full_sink);
     std::string full_json;
     {
-        std::unique_ptr<ParallelExecutor> exec;
-        if (threads > 1)
-            exec = std::make_unique<ParallelExecutor>(threads);
         GpuTop gpu(gcfg, pcfg);
-        gpu.setParallelExecutor(exec.get());
         gpu.setTracer(&full_tracer);
         const auto ctrl = policy.build();
         gpu.setController(ctrl.get());
@@ -136,11 +130,7 @@ TEST_P(PreemptionIdentity, ResumedVictimIsByteIdentical)
     Tracer resumed_tracer(fastTrace(), resumed_sink);
     std::string resumed_json;
     {
-        std::unique_ptr<ParallelExecutor> exec;
-        if (threads > 1)
-            exec = std::make_unique<ParallelExecutor>(threads);
         GpuTop gpu(gcfg, pcfg);
-        gpu.setParallelExecutor(exec.get());
         NullTraceSink null_sink;
         Tracer prefix_tracer(fastTrace(), null_sink);
         gpu.setTracer(&prefix_tracer);
@@ -211,12 +201,10 @@ TEST_P(PreemptionIdentity, ResumedVictimIsByteIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     KernelZoo, PreemptionIdentity,
-    ::testing::Values(PreemptCase{"sgemm", 1}, PreemptCase{"sgemm", 4},
-                      PreemptCase{"lbm", 1}, PreemptCase{"lbm", 4},
-                      PreemptCase{"kmn", 1}, PreemptCase{"kmn", 4}),
+    ::testing::Values(PreemptCase{"sgemm"}, PreemptCase{"lbm"},
+                      PreemptCase{"kmn"}),
     [](const auto &info) {
-        return std::string(info.param.kernel) + "_threads" +
-               std::to_string(info.param.threads);
+        return std::string(info.param.kernel) + "_threads1";
     });
 
 } // namespace

@@ -4,9 +4,8 @@
  * determinism and trace round-trips, the structural runtime predictor,
  * dispatcher-policy behaviour (fcfs order, sjf reordering, edf/llf
  * deadline ordering, predictor-gated preemptive eviction), predictive
- * admission control, multi-device sharding, thread-count determinism
- * of a whole serve() run, the latency-percentile math, and the
- * sm_limit= knob boundary semantics.
+ * admission control, multi-device sharding, the latency-percentile
+ * math, and the sm_limit= knob boundary semantics.
  */
 
 #include <gtest/gtest.h>
@@ -23,7 +22,6 @@
 #include "serve/predictor.hh"
 #include "serve/request.hh"
 #include "serve/server.hh"
-#include "sim/parallel_executor.hh"
 
 namespace equalizer
 {
@@ -342,14 +340,9 @@ TEST(ScaleKernel, FullScaleServeMatchesTheNominalGrid)
 /** Serve @p requests under @p policy on a fresh device. */
 ServeReport
 serveUnder(ServePolicy policy, const std::vector<ServeRequest> &requests,
-           int threads = 1,
            AdmissionPolicy admission = AdmissionPolicy::None)
 {
-    std::unique_ptr<ParallelExecutor> exec;
-    if (threads > 1)
-        exec = std::make_unique<ParallelExecutor>(threads);
     GpuTop gpu;
-    gpu.setParallelExecutor(exec.get());
     ServeOptions opts;
     opts.policy = policy;
     opts.admission = admission;
@@ -503,8 +496,7 @@ TEST(ServePolicyBehaviour, PredictiveAdmissionRejectsDoomedRequests)
     reqs[0] = {0, "prtcl-2", 0, 0, 0};
     reqs[1] = {1, "sgemm", 0, 1000, 5000}; // deadline 6000: hopeless
     const ServeReport rejecting =
-        serveUnder(ServePolicy::Fcfs, reqs, 1,
-                   AdmissionPolicy::Predictive);
+        serveUnder(ServePolicy::Fcfs, reqs, AdmissionPolicy::Predictive);
     EXPECT_EQ(rejecting.summary.completed, 1);
     EXPECT_EQ(rejecting.summary.rejected, 1);
     EXPECT_NEAR(rejecting.summary.rejectionRate, 0.5, 1e-12);
@@ -523,8 +515,7 @@ TEST(ServePolicyBehaviour, AdmissionNeverRejectsDeadlineFreeRequests)
 {
     std::vector<ServeRequest> reqs = longThenShorts(); // all slo = 0
     const ServeReport rep =
-        serveUnder(ServePolicy::Fcfs, reqs, 1,
-                   AdmissionPolicy::Predictive);
+        serveUnder(ServePolicy::Fcfs, reqs, AdmissionPolicy::Predictive);
     EXPECT_EQ(rep.summary.completed, 3);
     EXPECT_EQ(rep.summary.rejected, 0);
 }
@@ -538,44 +529,6 @@ TEST(ServePolicyBehaviour, SloViolationsAreCounted)
     EXPECT_TRUE(rep.records[1].sloViolated);
     EXPECT_EQ(rep.summary.sloViolations, 1);
     EXPECT_NEAR(rep.summary.sloViolationRate, 1.0 / 3.0, 1e-12);
-}
-
-/**
- * The serving determinism contract: a whole serve() run — every
- * per-request record and the summary — is identical across thread
- * counts, including runs that exercise preemption shelves.
- */
-TEST(ServeDeterminism, ThreadCountsProduceIdenticalReports)
-{
-    ArrivalSpec spec = smallSpec();
-    spec.count = 12;
-    spec.ratePerMcycle = 150.0;
-    spec.mix = {{"sgemm", 1}, {"prtcl-2", 0}};
-    const auto requests = generateArrivals(spec);
-
-    const ServeReport serial =
-        serveUnder(ServePolicy::Preempt, requests, 1);
-    const ServeReport parallel =
-        serveUnder(ServePolicy::Preempt, requests, 4);
-    ASSERT_EQ(serial.summary.completed, 12);
-    EXPECT_GE(serial.summary.preemptions, 1)
-        << "workload too tame to exercise the shelves";
-
-    EXPECT_EQ(serial.summary.wallCycles, parallel.summary.wallCycles);
-    EXPECT_EQ(serial.summary.preemptions, parallel.summary.preemptions);
-    EXPECT_EQ(serial.summary.p99Latency, parallel.summary.p99Latency);
-    ASSERT_EQ(serial.records.size(), parallel.records.size());
-    for (std::size_t i = 0; i < serial.records.size(); ++i) {
-        const RequestRecord &a = serial.records[i];
-        const RequestRecord &b = parallel.records[i];
-        EXPECT_EQ(a.req.id, b.req.id);
-        EXPECT_EQ(a.startCycle, b.startCycle);
-        EXPECT_EQ(a.completeCycle, b.completeCycle);
-        EXPECT_EQ(a.latencyCycles, b.latencyCycles);
-        EXPECT_EQ(a.executedCycles, b.executedCycles);
-        EXPECT_EQ(a.preemptions, b.preemptions);
-        EXPECT_EQ(a.instructions, b.instructions);
-    }
 }
 
 /**
@@ -632,19 +585,15 @@ TEST(ServeDeath, BusyOrPartitionedDevicesAreRejected)
  */
 ServeReport
 serveAcross(int devices, ServePolicy policy,
-            const std::vector<ServeRequest> &requests, int threads = 1,
+            const std::vector<ServeRequest> &requests,
             AdmissionPolicy admission = AdmissionPolicy::None)
 {
-    std::unique_ptr<ParallelExecutor> exec;
-    if (threads > 1)
-        exec = std::make_unique<ParallelExecutor>(threads);
     std::vector<std::unique_ptr<GpuTop>> gpus;
     std::vector<GpuTop *> ptrs;
     for (int d = 0; d < devices; ++d) {
         gpus.push_back(std::make_unique<GpuTop>());
         if (d > 0)
             gpus.back()->forkFrom(*gpus.front());
-        gpus.back()->setParallelExecutor(exec.get());
         ptrs.push_back(gpus.back().get());
     }
     ServeOptions opts;
@@ -698,32 +647,6 @@ TEST(MultiDeviceServe, TwoDevicesBeatOneOnWallClock)
     EXPECT_LT(two.summary.wallCycles, one.summary.wallCycles);
     EXPECT_GT(two.summary.throughputPerMcycle,
               one.summary.throughputPerMcycle);
-}
-
-TEST(MultiDeviceServe, ThreadCountsProduceIdenticalReports)
-{
-    const ServeReport serial =
-        serveAcross(2, ServePolicy::Fcfs, burstOfEight(), 1);
-    const ServeReport parallel =
-        serveAcross(2, ServePolicy::Fcfs, burstOfEight(), 4);
-    ASSERT_EQ(serial.records.size(), parallel.records.size());
-    EXPECT_EQ(serial.summary.wallCycles, parallel.summary.wallCycles);
-    for (std::size_t i = 0; i < serial.records.size(); ++i) {
-        const RequestRecord &a = serial.records[i];
-        const RequestRecord &b = parallel.records[i];
-        EXPECT_EQ(a.device, b.device);
-        EXPECT_EQ(a.startCycle, b.startCycle);
-        EXPECT_EQ(a.completeCycle, b.completeCycle);
-        EXPECT_EQ(a.executedCycles, b.executedCycles);
-        EXPECT_EQ(a.instructions, b.instructions);
-    }
-    ASSERT_EQ(serial.deviceStats.size(), parallel.deviceStats.size());
-    for (std::size_t k = 0; k < serial.deviceStats.size(); ++k) {
-        EXPECT_EQ(serial.deviceStats[k].completed,
-                  parallel.deviceStats[k].completed);
-        EXPECT_EQ(serial.deviceStats[k].wallCycles,
-                  parallel.deviceStats[k].wallCycles);
-    }
 }
 
 TEST(MultiDeviceServeDeath, MismatchedOrRepeatedDevicesAreFatal)
@@ -801,7 +724,7 @@ TEST_P(ServePinnedReport, SummaryMatchesThePins)
 {
     const PinnedReportCase &c = GetParam();
     const ServeSummary s =
-        serveAcross(c.devices, c.policy, replayPrefix(), 1, c.admission)
+        serveAcross(c.devices, c.policy, replayPrefix(), c.admission)
             .summary;
     EXPECT_EQ(s.requests, 40);
     EXPECT_EQ(s.completed, c.completed);

@@ -23,7 +23,6 @@
 #include "mem/dram.hh"
 #include "mem/mshr.hh"
 #include "mem/queues.hh"
-#include "sim/parallel_executor.hh"
 #include "sim/state.hh"
 
 namespace equalizer
@@ -313,14 +312,14 @@ fastEqualizer()
 struct MidKernelCase
 {
     const char *kernel;
-    int threads;
 };
 
 // Keeps the listed test name free of pointer bytes (see table2_test.cc).
+// The " threads=1" suffix is only there to keep ctest names stable.
 void
 PrintTo(const MidKernelCase &c, std::ostream *os)
 {
-    *os << c.kernel << " threads=" << c.threads;
+    *os << c.kernel << " threads=1";
 }
 
 class MidKernelCheckpoint
@@ -333,12 +332,11 @@ class MidKernelCheckpoint
  * a checkpoint mid-way through the first kernel invocation (between two
  * hysteresis epochs). Restoring into a fresh GpuTop and finishing the
  * whole schedule must reproduce the uninterrupted run's exported
- * metrics byte for byte — at any thread count.
+ * metrics byte for byte.
  */
 TEST_P(MidKernelCheckpoint, ResumedRunIsByteIdentical)
 {
-    const auto [kernel_name, threads] = GetParam();
-    const KernelParams &params = KernelZoo::byName(kernel_name).params;
+    const KernelParams &params = KernelZoo::byName(GetParam().kernel).params;
     const GpuConfig gcfg = GpuConfig::gtx480();
     const PowerConfig pcfg = PowerConfig::gtx480();
     const PolicySpec policy =
@@ -348,11 +346,7 @@ TEST_P(MidKernelCheckpoint, ResumedRunIsByteIdentical)
     const Cycle save_cycle = 1800;
 
     // --- Donor run: save mid-kernel, then keep going uninterrupted.
-    std::unique_ptr<ParallelExecutor> donor_exec;
-    if (threads > 1)
-        donor_exec = std::make_unique<ParallelExecutor>(threads);
     GpuTop donor(gcfg, pcfg);
-    donor.setParallelExecutor(donor_exec.get());
     const auto donor_ctrl = policy.build();
     donor.setController(donor_ctrl.get());
 
@@ -375,11 +369,7 @@ TEST_P(MidKernelCheckpoint, ResumedRunIsByteIdentical)
         << "first invocation shorter than the save cycle";
 
     // --- Restored run: fresh GPU + fresh controller, resume, finish.
-    std::unique_ptr<ParallelExecutor> res_exec;
-    if (threads > 1)
-        res_exec = std::make_unique<ParallelExecutor>(threads);
     GpuTop restored(gcfg, pcfg);
-    restored.setParallelExecutor(res_exec.get());
     const auto restored_ctrl = policy.build();
     restored.setController(restored_ctrl.get());
     restored.loadStateBuffer(saved);
@@ -410,12 +400,10 @@ TEST_P(MidKernelCheckpoint, ResumedRunIsByteIdentical)
 
 INSTANTIATE_TEST_SUITE_P(
     KernelZoo, MidKernelCheckpoint,
-    ::testing::Values(MidKernelCase{"sgemm", 1}, MidKernelCase{"sgemm", 4},
-                      MidKernelCase{"lbm", 1}, MidKernelCase{"lbm", 4},
-                      MidKernelCase{"kmn", 1}, MidKernelCase{"kmn", 4}),
+    ::testing::Values(MidKernelCase{"sgemm"}, MidKernelCase{"lbm"},
+                      MidKernelCase{"kmn"}),
     [](const auto &info) {
-        return std::string(info.param.kernel) + "_threads" +
-               std::to_string(info.param.threads);
+        return std::string(info.param.kernel) + "_threads1";
     });
 
 TEST(Checkpoint, FileRoundTripMatchesBufferRoundTrip)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the epoch-level tracing subsystem: ring overflow
- * semantics, reader round-trips, thread-count determinism, Chrome
- * trace_event export, and checkpoint/fork trace interoperability.
+ * semantics, reader round-trips, Chrome trace_event export, and
+ * checkpoint/fork trace interoperability.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "harness/runner.hh"
 #include "kernels/kernel_zoo.hh"
 #include "kernels/synthetic_kernel.hh"
-#include "sim/parallel_executor.hh"
 #include "trace/chrome_trace.hh"
 #include "trace/ring_buffer.hh"
 #include "trace/sink.hh"
@@ -68,12 +67,11 @@ churnyEqualizer()
 
 /** Run @p kernel under Equalizer with tracing; return the trace. */
 std::vector<std::uint8_t>
-tracedRunBytes(const std::string &kernel, int threads)
+tracedRunBytes(const std::string &kernel)
 {
     MemoryTraceSink sink;
     Tracer tracer(fastTrace(), sink);
-    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480(),
-                            threads);
+    ExperimentRunner runner(GpuConfig::gtx480(), PowerConfig::gtx480());
     runner.setTracer(&tracer);
     runner.runByName(kernel, churnyEqualizer());
     tracer.finish();
@@ -133,7 +131,7 @@ TEST(TraceRing, TracerTurnsOverflowIntoDropsEvents)
 
 TEST(TraceReader, RoundTripsARealRun)
 {
-    const auto bytes = tracedRunBytes("sgemm", 1);
+    const auto bytes = tracedRunBytes("sgemm");
     const TraceReader trace = TraceReader::fromBytes(bytes);
 
     EXPECT_EQ(trace.segments(), 1);
@@ -164,20 +162,10 @@ TEST(TraceReader, RoundTripsARealRun)
 
 TEST(TraceReader, TruncatedFileIsFatal)
 {
-    auto bytes = tracedRunBytes("sgemm", 1);
+    auto bytes = tracedRunBytes("sgemm");
     bytes.resize(bytes.size() - 7); // mid-record
     EXPECT_EXIT(TraceReader::fromBytes(bytes),
                 ::testing::ExitedWithCode(1), "trace");
-}
-
-// --- Determinism across thread counts ----------------------------------
-
-TEST(TraceDeterminism, ThreadCountsProduceByteIdenticalTraces)
-{
-    const auto serial = tracedRunBytes("sgemm", 1);
-    const auto parallel = tracedRunBytes("sgemm", 4);
-    ASSERT_FALSE(serial.empty());
-    EXPECT_EQ(serial, parallel);
 }
 
 // --- Chrome trace_event export -----------------------------------------
@@ -185,7 +173,7 @@ TEST(TraceDeterminism, ThreadCountsProduceByteIdenticalTraces)
 TEST(ChromeTrace, ExportLooksLikeTraceEventJson)
 {
     const TraceReader trace =
-        TraceReader::fromBytes(tracedRunBytes("sgemm", 2));
+        TraceReader::fromBytes(tracedRunBytes("sgemm"));
     std::ostringstream os;
     writeChromeTrace(trace, os);
     const std::string out = os.str();
