@@ -229,6 +229,7 @@ class TraceSession
             fatal("trace_buf_kb= must be positive, got ", buf_kb);
         tcfg.bufKb = static_cast<std::size_t>(buf_kb);
         tcfg.epochCycles = cyclesKnob(cfg, "trace_epoch", 4096);
+        tcfg.validate(); // before the file sink creates the file
         if (chromeTracePath(path_)) {
             mem_ = std::make_unique<MemoryTraceSink>();
             tracer_ = std::make_unique<Tracer>(tcfg, *mem_);

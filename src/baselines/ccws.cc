@@ -92,7 +92,8 @@ Ccws::onInvocationLaunch(GpuTop &gpu, const KernelInvocation &inv)
 void
 Ccws::visitControllerState(StateVisitor &v, GpuTop &gpu)
 {
-    v.beginSection("ccws", 1);
+    // v2: victim-tag lines carry a dirty bit.
+    v.beginSection("ccws", 2);
     if (!v.saving()) {
         // Rebuild the per-SM structures to the restored GPU's geometry
         // (and re-install the hooks, which are never serialized), then

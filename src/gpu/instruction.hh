@@ -5,15 +5,17 @@
  * Instruction streams are synthetic (see DESIGN.md): each instruction
  * carries exactly the microarchitectural information the timing model
  * needs — operation class, dependence on earlier results, and, for memory
- * operations, the coalesced line addresses.
+ * operations, the run of lines its coalesced transactions touch.
  */
 
 #ifndef EQ_GPU_INSTRUCTION_HH
 #define EQ_GPU_INSTRUCTION_HH
 
-#include <array>
+#include <cstdint>
+#include <type_traits>
 
 #include "common/types.hh"
+#include "mem/mem_access.hh"
 
 namespace equalizer
 {
@@ -63,12 +65,30 @@ struct WarpInstruction
      */
     bool dependsOnLoads = false;
 
-    // --- Memory-instruction payload.
+    // --- Memory-instruction payload: transaction t touches line
+    // (firstLine + t) of the region at `base`, modulo wrapLines when
+    // that is non-zero (a working set the warp cycles through).
     bool write = false;
     bool texture = false;
     int transactionCount = 0;
-    std::array<Addr, maxTransactionsPerInst> lineAddrs{};
+    std::int32_t wrapLines = 0;
+    Addr base = 0;
+    Addr firstLine = 0;
+
+    /** Line address of transaction @p t (0 <= t < transactionCount). */
+    Addr
+    lineAddr(int t) const
+    {
+        const Addr line = firstLine + static_cast<Addr>(t);
+        return base +
+               (wrapLines ? line % static_cast<Addr>(wrapLines) : line) *
+                   lineBytes;
+    }
 };
+
+// No padding: checkpoints copy warp slots and LSU entries raw.
+static_assert(std::has_unique_object_representations_v<WarpInstruction>);
+static_assert(sizeof(WarpInstruction) <= 40);
 
 } // namespace equalizer
 

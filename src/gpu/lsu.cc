@@ -17,7 +17,7 @@ LoadStoreUnit::accept(WarpId warp, const WarpInstruction &inst)
 {
     EQ_ASSERT(canAccept(), "LSU accept() without canAccept()");
     EQ_ASSERT(inst.op == OpClass::Mem, "LSU fed a non-memory instruction");
-    queue_.push_back(Entry{warp, inst, 0});
+    queue_.push_back(Entry{inst, warp, 0});
     queueHighWater_ = std::max<std::uint64_t>(queueHighWater_,
                                               queue_.size());
     acceptedThisCycle_ = true;
@@ -33,8 +33,7 @@ LoadStoreUnit::tick(Cycle sm_now)
     Entry &head = queue_.front();
 
     while (budget > 0 && head.next < head.inst.transactionCount) {
-        const Addr line =
-            head.inst.lineAddrs[static_cast<std::size_t>(head.next)];
+        const Addr line = head.inst.lineAddr(head.next);
 
         if (head.inst.texture) {
             // Texture path: deep buffering downstream, bypasses the L1.
@@ -75,11 +74,10 @@ LoadStoreUnit::wouldIdle() const
     const Entry &head = queue_.front();
     EQ_ASSERT(head.next < head.inst.transactionCount,
               "LSU queue holds a completed instruction");
-    const Addr line =
-        head.inst.lineAddrs[static_cast<std::size_t>(head.next)];
     if (head.inst.texture)
         return memSystem_.texInjectQueue(sm_).full();
-    return l1_.accessWouldBlock(line, head.inst.write);
+    return l1_.accessWouldBlock(head.inst.lineAddr(head.next),
+                                head.inst.write);
 }
 
 void

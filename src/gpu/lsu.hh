@@ -12,6 +12,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <type_traits>
 
 #include "common/types.hh"
 #include "gpu/gpu_config.hh"
@@ -67,7 +68,6 @@ class LoadStoreUnit
     }
 
     bool empty() const { return queue_.empty(); }
-    std::size_t queueDepth() const { return queue_.size(); }
 
     /** Queue at capacity (the gate that turns ready warps X_mem). */
     bool
@@ -125,8 +125,9 @@ class LoadStoreUnit
     visitState(StateVisitor &v)
     {
         // v2: queue high-water mark, so HighWater trace events after a
-        // restore match an uninterrupted run's (docs/TRACING.md).
-        v.beginSection("lsu", 2);
+        // restore match an uninterrupted run's (docs/TRACING.md). v3:
+        // queued instructions name a line range, not 32 line addresses.
+        v.beginSection("lsu", 3);
         v.field(queue_);
         v.field(acceptedThisCycle_);
         v.field(hitWakeups_);
@@ -139,10 +140,11 @@ class LoadStoreUnit
   private:
     struct Entry
     {
-        WarpId warp;
         WarpInstruction inst;
+        WarpId warp;
         int next = 0; ///< next transaction index
     };
+    static_assert(std::has_unique_object_representations_v<Entry>);
 
     const GpuConfig &cfg_;
     SmId sm_;

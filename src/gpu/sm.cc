@@ -322,7 +322,6 @@ StreamingMultiprocessor::refillInstruction(WarpSlot &w)
     if (w.stream->next(w.inst)) {
         ++w.fetched;
         w.hasInst = true;
-        w.nextTransaction = 0;
         w.readyAt = w.inst.dependsOnPrev
                         ? w.lastIssueCycle + w.lastResultLatency
                         : 0;
@@ -732,8 +731,10 @@ StreamingMultiprocessor::visitState(StateVisitor &v)
         else
             *wakeAt_ = 0;
     }
-    // v2: warp slots no longer carry a per-cycle outcome.
-    v.beginSection("sm", 2);
+    // v2: warp slots no longer carry a per-cycle outcome. v3: a warp's
+    // head instruction names a line range, not 32 line addresses, and
+    // the unused transaction cursor is gone.
+    v.beginSection("sm", 3);
     v.expectMatch(id_, "SM id");
     v.field(warpsPerBlock_);
     v.field(blockSlots_);

@@ -27,7 +27,6 @@ struct WarpSlot
     std::unique_ptr<InstructionStream> stream;
     bool hasInst = false;     ///< instruction-buffer head valid
     WarpInstruction inst;     ///< head instruction
-    int nextTransaction = 0;  ///< progress through inst's transactions
 
     int pendingLoads = 0;     ///< outstanding load transactions
     Cycle readyAt = 0;        ///< scoreboard: earliest issue cycle
@@ -53,24 +52,7 @@ struct WarpSlot
     }
 
     /** Clear the slot for a new warp. */
-    void
-    reset()
-    {
-        active = false;
-        paused = false;
-        blockSlot = -1;
-        block = -1;
-        stream.reset();
-        hasInst = false;
-        nextTransaction = 0;
-        pendingLoads = 0;
-        readyAt = 0;
-        lastIssueCycle = 0;
-        lastResultLatency = 0;
-        atBarrier = false;
-        streamDone = false;
-        fetched = 0;
-    }
+    void reset() { *this = WarpSlot{}; }
 
     /**
      * Serialize everything except the stream pointer, which is
@@ -85,7 +67,6 @@ struct WarpSlot
         v.field(block);
         v.field(hasInst);
         v.field(inst);
-        v.field(nextTransaction);
         v.field(pendingLoads);
         v.field(readyAt);
         v.field(lastIssueCycle);

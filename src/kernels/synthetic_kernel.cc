@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/log.hh"
 #include "common/rng.hh"
@@ -97,6 +98,9 @@ class SyntheticStream : public InstructionStream
                 static_cast<double>(ph.workingSetBytes) * mod.wsScale;
             e.wsLines = std::max<std::int64_t>(
                 1, std::llround(ws_bytes / static_cast<double>(lineBytes)));
+            EQ_ASSERT(e.wsLines <= std::numeric_limits<std::int32_t>::max(),
+                      "kernel '", p.name, "' working set of ", e.wsLines,
+                      " lines overflows WarpInstruction::wrapLines");
             e.texture = ph.texture;
             e.sharedFraction = ph.sharedFraction;
             e.smemConflictWays = std::max(1, ph.smemConflictWays);
@@ -159,22 +163,15 @@ class SyntheticStream : public InstructionStream
             out.op = OpClass::Mem;
             out.write = store;
             out.texture = ph.texture && !store;
+            out.transactionCount = ph.transactionsPerLoad;
             if (ws_load) {
-                out.transactionCount = ph.transactionsPerLoad;
-                for (int t = 0; t < ph.transactionsPerLoad; ++t) {
-                    out.lineAddrs[static_cast<std::size_t>(t)] =
-                        wsBase_ +
-                        static_cast<Addr>((wsPtr_ + t) % ph.wsLines) *
-                            lineBytes;
-                }
+                out.base = wsBase_;
+                out.firstLine = static_cast<Addr>(wsPtr_ % ph.wsLines);
+                out.wrapLines = static_cast<std::int32_t>(ph.wsLines);
                 wsPtr_ += ph.transactionsPerLoad;
             } else {
-                out.transactionCount = ph.transactionsPerLoad;
-                for (int t = 0; t < ph.transactionsPerLoad; ++t) {
-                    out.lineAddrs[static_cast<std::size_t>(t)] =
-                        streamBase_ +
-                        static_cast<Addr>(streamPtr_ + t) * lineBytes;
-                }
+                out.base = streamBase_;
+                out.firstLine = static_cast<Addr>(streamPtr_);
                 streamPtr_ += ph.transactionsPerLoad;
             }
 

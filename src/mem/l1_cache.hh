@@ -77,9 +77,6 @@ class L1Cache
             fn(w);
     }
 
-    /** Probe tags without touching replacement state. */
-    bool probe(Addr line_addr) const { return tags_.probe(line_addr); }
-
     /**
      * Whether access() would return Blocked, without any side effect
      * (no energy, no counters, no LRU touch). The fast path's per-SM
@@ -133,8 +130,9 @@ class L1Cache
     void
     visitState(StateVisitor &v)
     {
-        // v2: the MSHR file gained its high-water mark.
-        v.beginSection("l1", 2);
+        // v2: the MSHR file gained its high-water mark. v3: tag lines
+        // carry a dirty bit.
+        v.beginSection("l1", 3);
         v.field(tags_);
         v.field(mshrs_);
         v.field(hits_);

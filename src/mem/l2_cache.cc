@@ -1,7 +1,5 @@
 #include "l2_cache.hh"
 
-#include <algorithm>
-
 namespace equalizer
 {
 
@@ -17,25 +15,19 @@ L2Partition::L2Partition(const MemConfig &cfg, int partition_id,
 void
 L2Partition::installLine(Addr line_addr, bool dirty, Cycle now)
 {
-    auto evicted = tags_.insert(line_addr);
-    if (dirty)
-        dirty_.insert(line_addr);
-    if (evicted) {
-        auto it = dirty_.find(evicted->lineAddr);
-        if (it != dirty_.end()) {
-            dirty_.erase(it);
-            ++writebacks_;
-            // Best-effort writeback: occupy DRAM when there is room,
-            // otherwise account the energy only. This cannot deadlock
-            // the request path and slightly under-counts writeback
-            // occupancy under extreme pressure (documented in DESIGN.md).
-            MemAccess wb;
-            wb.lineAddr = evicted->lineAddr;
-            wb.write = true;
-            wb.sm = -1;
-            if (!dram_.submit(wb, now))
-                energy_.record(EnergyEvent::DramAccess);
-        }
+    const auto evicted = tags_.insert(line_addr, /*owner=*/-1, dirty);
+    if (evicted && evicted->dirty) {
+        ++writebacks_;
+        // Best-effort writeback: occupy DRAM when there is room,
+        // otherwise account the energy only. This cannot deadlock the
+        // request path and slightly under-counts writeback occupancy
+        // under extreme pressure (documented in DESIGN.md).
+        MemAccess wb;
+        wb.lineAddr = evicted->lineAddr;
+        wb.write = true;
+        wb.sm = -1;
+        if (!dram_.submit(wb, now))
+            energy_.record(EnergyEvent::DramAccess);
     }
 }
 
@@ -49,14 +41,9 @@ L2Partition::handleRequest(Cycle now)
     energy_.record(EnergyEvent::L2Access);
 
     if (head.write) {
-        // Write-allocate, write-back.
-        if (tags_.lookup(head.lineAddr)) {
-            ++hits_;
-        } else {
-            ++misses_;
-            installLine(head.lineAddr, /*dirty=*/true, now);
-        }
-        dirty_.insert(head.lineAddr);
+        // Write-allocate, write-back: a hit only touches and dirties.
+        ++(tags_.probe(head.lineAddr) ? hits_ : misses_);
+        installLine(head.lineAddr, /*dirty=*/true, now);
         input_.popReady(now);
         return;
     }
@@ -82,14 +69,11 @@ void
 L2Partition::tick(Cycle now)
 {
     // DRAM completion path first so its output slot check is accurate.
+    // A drained writeback returns nothing to the SMs.
     if (!output_.full()) {
-        if (auto done = dram_.tick(now)) {
-            if (done->write) {
-                // A drained writeback; nothing returns to the SMs.
-            } else {
-                installLine(done->lineAddr, /*dirty=*/false, now);
-                output_.push(*done, now + cfg_.l2HitLatency);
-            }
+        if (auto done = dram_.tick(now); done && !done->write) {
+            installLine(done->lineAddr, /*dirty=*/false, now);
+            output_.push(*done, now + cfg_.l2HitLatency);
         }
     }
 
@@ -100,26 +84,17 @@ void
 L2Partition::flush()
 {
     tags_.invalidateAll();
-    dirty_.clear();
 }
 
 void
 L2Partition::visitState(StateVisitor &v)
 {
-    v.beginSection("l2", 1);
+    // v2: the dirty bits live in the tag lines.
+    v.beginSection("l2", 2);
     v.field(tags_);
     v.field(input_);
     v.field(output_);
     v.field(dram_);
-    // The dirty set is hash-ordered; write it sorted so the stream is
-    // canonical.
-    std::vector<Addr> addrs(dirty_.begin(), dirty_.end());
-    std::sort(addrs.begin(), addrs.end());
-    v.field(addrs);
-    if (!v.saving()) {
-        dirty_.clear();
-        dirty_.insert(addrs.begin(), addrs.end());
-    }
     v.field(hits_);
     v.field(misses_);
     v.field(writebacks_);

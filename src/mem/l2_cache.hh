@@ -8,7 +8,6 @@
 #define EQ_MEM_L2_CACHE_HH
 
 #include <cstdint>
-#include <unordered_set>
 
 #include "common/types.hh"
 #include "mem/dram.hh"
@@ -73,9 +72,6 @@ class L2Partition
     DelayQueue<MemAccess> input_;
     DelayQueue<MemAccess> output_;
     DramPartition dram_;
-
-    /// Lines present and dirty (write-back state held beside the tags).
-    std::unordered_set<Addr> dirty_;
 
     std::uint64_t hits_ = 0;
     std::uint64_t misses_ = 0;

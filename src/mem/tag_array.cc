@@ -58,7 +58,7 @@ TagArray::probe(Addr line_addr) const
 }
 
 std::optional<TagArray::Eviction>
-TagArray::insert(Addr line_addr, int owner)
+TagArray::insert(Addr line_addr, int owner, bool dirty)
 {
     const int set = setIndex(line_addr);
     const Addr tag = tagOf(line_addr);
@@ -71,6 +71,7 @@ TagArray::insert(Addr line_addr, int owner)
             line.lastUse = ++useClock_;
             if (owner >= 0)
                 line.owner = owner;
+            line.dirty = line.dirty || dirty;
             return std::nullopt;
         }
         if (!line.valid) {
@@ -87,9 +88,10 @@ TagArray::insert(Addr line_addr, int owner)
         const Addr victim_line =
             (victim->tag * static_cast<Addr>(sets_) +
              static_cast<Addr>(set)) * lineBytes_;
-        evicted = Eviction{victim_line, victim->owner};
+        evicted = Eviction{victim_line, victim->owner, victim->dirty};
     }
     victim->valid = true;
+    victim->dirty = dirty;
     victim->tag = tag;
     victim->owner = owner;
     victim->lastUse = ++useClock_;

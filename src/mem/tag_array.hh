@@ -32,6 +32,7 @@ class TagArray
     {
         Addr lineAddr;  ///< evicted line address
         int owner;      ///< owner recorded at insertion/last touch
+        bool dirty;     ///< written since it was installed
     };
 
     /**
@@ -51,12 +52,14 @@ class TagArray
     bool probe(Addr line_addr) const;
 
     /**
-     * Install a line (evicting LRU if the set is full). No-op if the line
-     * is already present (it is touched instead).
+     * Install a line (evicting LRU if the set is full). A line already
+     * present is touched instead. @p dirty is ORed into the line's bit,
+     * so a clean fill never cleans a written line.
      *
      * @return The eviction, when one occurred.
      */
-    std::optional<Eviction> insert(Addr line_addr, int owner = -1);
+    std::optional<Eviction> insert(Addr line_addr, int owner = -1,
+                                   bool dirty = false);
 
     /** Remove a line if present. @return true when it was present. */
     bool invalidate(Addr line_addr);
@@ -85,9 +88,11 @@ class TagArray
     {
         Addr tag = 0;
         bool valid = false;
+        bool dirty = false;
         int owner = -1;
         std::uint64_t lastUse = 0;
     };
+    static_assert(sizeof(Line) == 24, "the dirty bit fills padding");
 
     int setIndex(Addr line_addr) const;
     Addr tagOf(Addr line_addr) const;

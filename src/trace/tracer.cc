@@ -19,16 +19,21 @@ isPowerOfTwo(Cycle v)
 
 } // namespace
 
+void
+TraceConfig::validate() const
+{
+    if (!isPowerOfTwo(epochCycles))
+        fatal("trace epoch must be a power of two, got ", epochCycles);
+    if (bufKb == 0)
+        fatal("trace_buf_kb must be positive");
+    if (bufKb > std::numeric_limits<std::size_t>::max() / 1024)
+        fatal("trace_buf_kb = ", bufKb, " KiB overflows a byte count");
+}
+
 Tracer::Tracer(TraceConfig cfg, TraceSink &sink)
     : cfg_(cfg), sink_(sink), epochMask_(cfg.epochCycles - 1)
 {
-    if (!isPowerOfTwo(cfg.epochCycles))
-        fatal("trace epoch must be a power of two, got ",
-              cfg.epochCycles);
-    if (cfg.bufKb == 0)
-        fatal("trace_buf_kb must be positive");
-    if (cfg.bufKb > std::numeric_limits<std::size_t>::max() / 1024)
-        fatal("trace_buf_kb = ", cfg.bufKb, " KiB overflows a byte count");
+    cfg.validate();
 }
 
 Tracer::~Tracer()

@@ -39,6 +39,9 @@ struct TraceConfig
      * Must be a power of two — the hot-loop boundary test is a mask.
      */
     Cycle epochCycles = 4096;
+
+    /** fatal() unless the tracer can run with these values. */
+    void validate() const;
 };
 
 /** The epoch-level tracing engine (docs/TRACING.md). */

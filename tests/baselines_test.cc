@@ -40,6 +40,23 @@ info(int blocks, int wcta, int max_blocks, const char *name)
     return k;
 }
 
+/** Each warp loops @p reps times over its private 24-line working set. */
+ScriptedKernel::ScriptFn
+thrashLoop(int reps)
+{
+    return [reps](BlockId b, int w) {
+        std::vector<WarpInstruction> s;
+        const Addr base = (static_cast<Addr>(b) * 8 + static_cast<Addr>(w))
+                          << 20;
+        for (int rep = 0; rep < reps; ++rep)
+            for (int l = 0; l < 24; ++l) {
+                s.push_back(loadInst(base + static_cast<Addr>(l) * 128));
+                s.push_back(loadUse());
+            }
+        return s;
+    };
+}
+
 // ---------------------------------------------------------- StaticPolicy
 
 TEST(StaticPolicy, AppliesOperatingPointsAtLaunch)
@@ -104,27 +121,7 @@ TEST(DynCta, ReducesBlocksUnderMemoryStall)
     DynCta dyncta;
     gpu.setController(&dyncta);
 
-    std::vector<WarpInstruction> script;
-    for (int i = 0; i < 400; ++i) {
-        WarpInstruction ld = loadInst(0);
-        ld.transactionCount = 2;
-        ld.lineAddrs[0] = static_cast<Addr>(i) * 2 * 128;
-        ld.lineAddrs[1] = ld.lineAddrs[0] + 128;
-        script.push_back(ld);
-        script.push_back(loadUse());
-    }
-    ScriptedKernel k(
-        info(64, 4, 8, "mem"), [script](BlockId b, int w) {
-            auto s = script;
-            for (auto &inst : s)
-                if (inst.op == OpClass::Mem)
-                    for (int t = 0; t < inst.transactionCount; ++t)
-                        inst.lineAddrs[static_cast<std::size_t>(t)] +=
-                            (static_cast<Addr>(b) * 64 +
-                             static_cast<Addr>(w))
-                            << 24;
-            return s;
-        });
+    ScriptedKernel k(info(64, 4, 8, "mem"), testing::privateLoads(400));
     int min_target = 8;
     gpu.setCycleObserver([&](GpuTop &g) {
         min_target = std::min(min_target, g.sm(0).targetBlocks());
@@ -166,17 +163,7 @@ TEST(Ccws, DetectsLostLocalityAndThrottles)
 
     // Each warp loops over a private working set much larger than its
     // fair share of the L1: classic inter-warp thrashing.
-    ScriptedKernel k(info(8, 8, 8, "thrash"), [](BlockId b, int w) {
-        std::vector<WarpInstruction> s;
-        const Addr base = (static_cast<Addr>(b) * 8 + static_cast<Addr>(w))
-                          << 20;
-        for (int rep = 0; rep < 60; ++rep)
-            for (int l = 0; l < 24; ++l) {
-                s.push_back(loadInst(base + static_cast<Addr>(l) * 128));
-                s.push_back(loadUse());
-            }
-        return s;
-    });
+    ScriptedKernel k(info(8, 8, 8, "thrash"), thrashLoop(60));
     gpu.runKernel(k);
     EXPECT_GT(ccws.lostLocalityEvents(), 0u);
 }
@@ -188,17 +175,7 @@ TEST(Ccws, AllowedWarpsNeverBelowMinimum)
     cfg.minAllowedWarps = 2;
     Ccws ccws(cfg);
     gpu.setController(&ccws);
-    ScriptedKernel k(info(8, 8, 8, "thrash2"), [](BlockId b, int w) {
-        std::vector<WarpInstruction> s;
-        const Addr base = (static_cast<Addr>(b) * 8 + static_cast<Addr>(w))
-                          << 20;
-        for (int rep = 0; rep < 40; ++rep)
-            for (int l = 0; l < 24; ++l) {
-                s.push_back(loadInst(base + static_cast<Addr>(l) * 128));
-                s.push_back(loadUse());
-            }
-        return s;
-    });
+    ScriptedKernel k(info(8, 8, 8, "thrash2"), thrashLoop(40));
     int min_allowed = 1000;
     gpu.setCycleObserver([&](GpuTop &g) {
         if (g.smDomain().cycle() % 64 == 0)

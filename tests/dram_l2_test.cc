@@ -157,6 +157,20 @@ class L2Test : public ::testing::Test
         return out;
     }
 
+    /** Load l2Ways more lines that map to set 0, evicting its LRU line. */
+    void
+    fillSet0()
+    {
+        const int stride = cfg.l2SetsPerPartition * cfg.numPartitions;
+        for (int w = 1; w <= cfg.l2Ways; ++w) {
+            l2.input().push(
+                makeLoad(static_cast<Addr>(w) * static_cast<Addr>(stride) *
+                         lineBytes),
+                now);
+            runCycles(100);
+        }
+    }
+
     MemConfig cfg = MemConfig::gtx480();
     EnergyModel energy;
     L2Partition l2;
@@ -214,15 +228,22 @@ TEST_F(L2Test, WritesAllocateDirtyAndProduceNoResponse)
     EXPECT_EQ(l2.misses(), 1u);
 
     // Evicting the dirty line costs a writeback.
-    // Fill the same set: set count * stride apart lines map to set 0.
-    const int stride = cfg.l2SetsPerPartition * cfg.numPartitions;
-    for (int w = 1; w <= cfg.l2Ways; ++w) {
-        l2.input().push(
-            makeLoad(static_cast<Addr>(w) * static_cast<Addr>(stride) *
-                     lineBytes),
-            now);
-        runCycles(100);
-    }
+    fillSet0();
+    EXPECT_EQ(l2.writebacks(), 1u);
+}
+
+TEST_F(L2Test, FillOfAStoredLineKeepsItDirty)
+{
+    // A load misses to DRAM; a store to the same line allocates it
+    // dirty before that fill returns. The fill must not clean it.
+    const Addr a = partition0Line(cfg, 0);
+    l2.input().push(makeLoad(a), now);
+    MemAccess store = makeLoad(a);
+    store.write = true;
+    l2.input().push(store, now);
+    EXPECT_EQ(runCycles(200).size(), 1u);
+    EXPECT_EQ(l2.misses(), 2u); // the store missed: it beat the fill
+    fillSet0();
     EXPECT_EQ(l2.writebacks(), 1u);
 }
 

@@ -37,3 +37,12 @@ expect_fatal(${EQSIM} "unknown option 'threads'" kernel=sgemm threads=2)
 # A non-positive trace ring size is a clean error, not an abort.
 expect_fatal(${EQSIM} "trace_buf_kb= must be positive, got -1"
              kernel=sgemm trace=unused.trace trace_buf_kb=-1)
+
+# A rejected tracer config is fatal before the trace file is created.
+set(trace_file "${CMAKE_CURRENT_BINARY_DIR}/rejected_config.trace")
+file(REMOVE "${trace_file}")
+expect_fatal(${EQSIM} "overflows a byte count"
+             kernel=sgemm trace=${trace_file} trace_buf_kb=99999999999999999)
+if(EXISTS "${trace_file}")
+    message(FATAL_ERROR "eqsim left ${trace_file} behind after a fatal")
+endif()

@@ -21,8 +21,6 @@ namespace
 
 using testing::ScriptedKernel;
 using testing::aluInst;
-using testing::loadInst;
-using testing::loadUse;
 
 // --------------------------------------------------------------- Sampler
 
@@ -233,27 +231,7 @@ TEST(EqualizerEngine, HysteresisDelaysBlockChanges)
         blocks_per_epoch.push_back(r.meanTargetBlocks);
     });
 
-    std::vector<WarpInstruction> script;
-    for (int i = 0; i < 500; ++i) {
-        WarpInstruction ld = loadInst(0);
-        ld.transactionCount = 2;
-        ld.lineAddrs[0] = static_cast<Addr>(i) * 2 * 128;
-        ld.lineAddrs[1] = ld.lineAddrs[0] + 128;
-        script.push_back(ld);
-        script.push_back(loadUse());
-    }
-    ScriptedKernel k(
-        info(64, 4, 8, "membound"), [script](BlockId b, int w) {
-            auto s = script;
-            for (auto &inst : s)
-                if (inst.op == OpClass::Mem)
-                    for (int t = 0; t < inst.transactionCount; ++t)
-                        inst.lineAddrs[static_cast<std::size_t>(t)] +=
-                            (static_cast<Addr>(b) * 64 +
-                             static_cast<Addr>(w))
-                            << 24;
-            return s;
-        });
+    ScriptedKernel k(info(64, 4, 8, "membound"), testing::privateLoads(500));
     gpu.runKernel(k);
 
     ASSERT_GE(blocks_per_epoch.size(), 4u);
@@ -272,27 +250,7 @@ TEST(EqualizerEngine, RemembersBlockTargetsAcrossInvocations)
     gpu.setController(&eq);
 
     // Same memory-bound kernel as above, run twice under the same name.
-    std::vector<WarpInstruction> script;
-    for (int i = 0; i < 500; ++i) {
-        WarpInstruction ld = loadInst(0);
-        ld.transactionCount = 2;
-        ld.lineAddrs[0] = static_cast<Addr>(i) * 2 * 128;
-        ld.lineAddrs[1] = ld.lineAddrs[0] + 128;
-        script.push_back(ld);
-        script.push_back(loadUse());
-    }
-    ScriptedKernel k(
-        info(64, 4, 8, "remember"), [script](BlockId b, int w) {
-            auto s = script;
-            for (auto &inst : s)
-                if (inst.op == OpClass::Mem)
-                    for (int t = 0; t < inst.transactionCount; ++t)
-                        inst.lineAddrs[static_cast<std::size_t>(t)] +=
-                            (static_cast<Addr>(b) * 64 +
-                             static_cast<Addr>(w))
-                            << 24;
-            return s;
-        });
+    ScriptedKernel k(info(64, 4, 8, "remember"), testing::privateLoads(500));
 
     std::vector<double> targets;
     eq.setEpochTrace([&targets](const EqualizerEpochRecord &r) {

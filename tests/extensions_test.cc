@@ -239,21 +239,7 @@ TEST(ConcurrentKernels, MixedRunKeepsPerSmBlockTuningIndependent)
     std::vector<WarpInstruction> alu_script(20000, aluInst());
     ScriptedKernel comp(info(8, 4, 8, "comp"), alu_script);
 
-    ScriptedKernel thrash(
-        info(32, 4, 8, "thrash"), [](BlockId b, int w) {
-            std::vector<WarpInstruction> s;
-            const Addr base =
-                (static_cast<Addr>(b) * 64 + static_cast<Addr>(w)) << 24;
-            for (int i = 0; i < 500; ++i) {
-                WarpInstruction ld = loadInst(0);
-                ld.transactionCount = 2;
-                ld.lineAddrs[0] = base + static_cast<Addr>(i) * 256;
-                ld.lineAddrs[1] = ld.lineAddrs[0] + 128;
-                s.push_back(ld);
-                s.push_back(testing::loadUse());
-            }
-            return s;
-        });
+    ScriptedKernel thrash(info(32, 4, 8, "thrash"), testing::privateLoads(500));
 
     EqualizerEngine eq(
         EqualizerConfig{EqualizerMode::Performance, 128, 4096, 3, 2.0});

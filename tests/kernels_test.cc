@@ -53,7 +53,7 @@ TEST(SyntheticKernel, StreamsAreDeterministic)
     for (std::size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].op, b[i].op);
         EXPECT_EQ(a[i].transactionCount, b[i].transactionCount);
-        EXPECT_EQ(a[i].lineAddrs[0], b[i].lineAddrs[0]);
+        EXPECT_EQ(a[i].lineAddr(0), b[i].lineAddr(0));
         EXPECT_EQ(a[i].dependsOnPrev, b[i].dependsOnPrev);
     }
 }
@@ -66,7 +66,7 @@ TEST(SyntheticKernel, DifferentWarpsDiffer)
     bool differs = a.size() != b.size();
     for (std::size_t i = 0; !differs && i < a.size(); ++i)
         differs = a[i].op != b[i].op ||
-                  a[i].lineAddrs[0] != b[i].lineAddrs[0];
+                  a[i].lineAddr(0) != b[i].lineAddr(0);
     EXPECT_TRUE(differs);
 }
 
@@ -83,9 +83,7 @@ TEST(SyntheticKernel, AllAddressesAreLineAligned)
         if (inst.op != OpClass::Mem)
             continue;
         for (int t = 0; t < inst.transactionCount; ++t)
-            EXPECT_EQ(inst.lineAddrs[static_cast<std::size_t>(t)] %
-                          lineBytes,
-                      0u);
+            EXPECT_EQ(inst.lineAddr(t) % lineBytes, 0u);
     }
 }
 
@@ -140,9 +138,37 @@ TEST(SyntheticKernel, WorkingSetAddressesStayInWorkingSet)
     for (const auto &inst : drain(*k.makeWarpStream(0, 0)))
         if (inst.op == OpClass::Mem)
             for (int t = 0; t < inst.transactionCount; ++t)
-                distinct.insert(inst.lineAddrs[static_cast<std::size_t>(t)]);
+                distinct.insert(inst.lineAddr(t));
     // 1 kB working set = 8 lines.
     EXPECT_EQ(distinct.size(), 8u);
+}
+
+TEST(SyntheticKernel, WorkingSetLoadsWrapAroundTheSet)
+{
+    // 4 lines per load over a 6-line working set: every other load
+    // straddles the end of the set and continues at its first line.
+    auto p = simpleParams();
+    p.phases[0].reuseFraction = 1.0;
+    p.phases[0].storeFraction = 0.0;
+    p.phases[0].transactionsPerLoad = 4;
+    p.phases[0].workingSetBytes = 6 * lineBytes;
+    const SyntheticKernel k(p);
+    Addr ws_base = 0;
+    std::int64_t ptr = 0;
+    int straddles = 0;
+    for (const auto &inst : drain(*k.makeWarpStream(0, 0))) {
+        if (inst.op != OpClass::Mem)
+            continue;
+        if (ptr == 0)
+            ws_base = inst.lineAddr(0);
+        ASSERT_EQ(inst.transactionCount, 4);
+        for (int t = 0; t < 4; ++t)
+            EXPECT_EQ(inst.lineAddr(t),
+                      ws_base + static_cast<Addr>((ptr + t) % 6) * lineBytes);
+        straddles += ptr % 6 + 4 > 6 ? 1 : 0;
+        ptr += 4;
+    }
+    EXPECT_GT(straddles, 0);
 }
 
 TEST(SyntheticKernel, StreamingAddressesNeverRepeat)
@@ -156,9 +182,7 @@ TEST(SyntheticKernel, StreamingAddressesNeverRepeat)
         if (inst.op != OpClass::Mem)
             continue;
         for (int t = 0; t < inst.transactionCount; ++t) {
-            EXPECT_TRUE(
-                seen.insert(inst.lineAddrs[static_cast<std::size_t>(t)])
-                    .second);
+            EXPECT_TRUE(seen.insert(inst.lineAddr(t)).second);
         }
     }
 }
@@ -195,7 +219,7 @@ TEST(SyntheticKernel, ReuseOverrideReplacesPhaseValue)
     for (const auto &inst : drain(*k.makeWarpStream(0, 0)))
         if (inst.op == OpClass::Mem)
             for (int t = 0; t < inst.transactionCount; ++t)
-                distinct.insert(inst.lineAddrs[static_cast<std::size_t>(t)]);
+                distinct.insert(inst.lineAddr(t));
     EXPECT_LE(distinct.size(), 8u);
 }
 

@@ -69,9 +69,6 @@ TEST_F(LsuTest, ProcessesTransactionsAtThroughput)
 {
     WarpInstruction wide = loadInst(0);
     wide.transactionCount = 4;
-    for (int t = 0; t < 4; ++t)
-        wide.lineAddrs[static_cast<std::size_t>(t)] =
-            static_cast<Addr>(t) * 128;
     lsu.beginCycle();
     lsu.accept(0, wide);
     lsu.tick(1);
@@ -80,6 +77,27 @@ TEST_F(LsuTest, ProcessesTransactionsAtThroughput)
     lsu.tick(2);
     EXPECT_EQ(lsu.transactionsIssued(), 4u);
     EXPECT_TRUE(lsu.empty());
+}
+
+TEST_F(LsuTest, WrappedLoadPresentsLinesInWrapOrder)
+{
+    WarpInstruction wrapped = loadInst(0x20000);
+    wrapped.transactionCount = 4;
+    wrapped.firstLine = 2;
+    wrapped.wrapLines = 4;
+    lsu.beginCycle();
+    lsu.accept(0, wrapped);
+    for (Cycle c = 1; c <= 4; ++c)
+        lsu.tick(c);
+    ASSERT_TRUE(lsu.empty());
+    // Each primary miss enters the SM's injection queue in order.
+    auto &q = mem.smInjectQueue(0);
+    for (const Addr line : {2, 3, 0, 1}) {
+        const auto access = q.pop();
+        ASSERT_TRUE(access);
+        EXPECT_EQ(access->lineAddr, 0x20000 + line * lineBytes);
+    }
+    EXPECT_TRUE(q.empty());
 }
 
 TEST_F(LsuTest, HitWakeupArrivesAfterL1Latency)

@@ -149,10 +149,8 @@ TEST_F(SmTest, ExcessMemAppearsWhenLsuSaturates)
                      [script](BlockId b, int w) {
                          auto s = script;
                          for (auto &inst : s)
-                             for (int t = 0; t < inst.transactionCount; ++t)
-                                 inst.lineAddrs[static_cast<std::size_t>(t)] +=
-                                     static_cast<Addr>(b * 1000 + w * 100) *
-                                     4096;
+                             inst.base +=
+                                 static_cast<Addr>(b * 1000 + w * 100) * 4096;
                          return s;
                      });
     sm.setKernel(&k);

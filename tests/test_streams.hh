@@ -89,7 +89,7 @@ loadInst(Addr line, bool depends_on_loads_next = false)
     WarpInstruction i;
     i.op = OpClass::Mem;
     i.transactionCount = 1;
-    i.lineAddrs[0] = line;
+    i.base = line;
     return i;
 }
 
@@ -109,7 +109,7 @@ storeInst(Addr line)
     i.op = OpClass::Mem;
     i.write = true;
     i.transactionCount = 1;
-    i.lineAddrs[0] = line;
+    i.base = line;
     return i;
 }
 
@@ -119,6 +119,27 @@ syncInst()
     WarpInstruction i;
     i.op = OpClass::Sync;
     return i;
+}
+
+/**
+ * Per-warp script of @p loads two-line loads, each followed by its
+ * use, streaming through a 16 MiB region of each (block, warp).
+ */
+inline ScriptedKernel::ScriptFn
+privateLoads(int loads)
+{
+    return [loads](BlockId b, int w) {
+        std::vector<WarpInstruction> s;
+        const Addr base = (static_cast<Addr>(b) * 64 + static_cast<Addr>(w))
+                          << 24;
+        for (int i = 0; i < loads; ++i) {
+            WarpInstruction ld = loadInst(base + static_cast<Addr>(i) * 256);
+            ld.transactionCount = 2;
+            s.push_back(ld);
+            s.push_back(loadUse());
+        }
+        return s;
+    };
 }
 
 } // namespace equalizer::testing
