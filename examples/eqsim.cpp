@@ -683,8 +683,13 @@ main(int argc, char **argv)
     gcfg.numSms = static_cast<int>(cfg.getInt("sms", gcfg.numSms));
     gcfg.issueWidth =
         static_cast<int>(cfg.getInt("issue_width", gcfg.issueWidth));
-    gcfg.lsuQueueDepth =
-        static_cast<int>(cfg.getInt("lsu_depth", gcfg.lsuQueueDepth));
+    // Each SM's LSU queue ring is allocated up front at this depth.
+    if (const std::int64_t depth =
+            cfg.getInt("lsu_depth", gcfg.lsuQueueDepth);
+        depth >= 1 && depth <= 4096)
+        gcfg.lsuQueueDepth = static_cast<int>(depth);
+    else
+        fatal("lsu_depth= must be in [1, 4096], got ", depth);
     gcfg.regReadPorts =
         static_cast<int>(cfg.getInt("reg_ports", gcfg.regReadPorts));
     gcfg.smNominalHz =

@@ -92,8 +92,9 @@ Ccws::onInvocationLaunch(GpuTop &gpu, const KernelInvocation &inv)
 void
 Ccws::visitControllerState(StateVisitor &v, GpuTop &gpu)
 {
-    // v2: victim-tag lines carry a dirty bit.
-    v.beginSection("ccws", 2);
+    // v2: victim-tag lines carry a dirty bit. v3: victim-tag lines have
+    // no padding bytes.
+    v.beginSection("ccws", 3);
     if (!v.saving()) {
         // Rebuild the per-SM structures to the restored GPU's geometry
         // (and re-install the hooks, which are never serialized), then

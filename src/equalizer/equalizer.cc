@@ -60,7 +60,8 @@ void
 EqualizerEngine::visitControllerState(StateVisitor &v, GpuTop &)
 {
     // v2: lastKernel_ (one device-wide name) became lastKernelPerSm_.
-    v.beginSection("equalizer", 2);
+    // v3: samplers are written field by field (no padding bytes).
+    v.beginSection("equalizer", 3);
     v.field(samplers_);
     v.field(pendingDir_);
     v.field(pendingCount_);

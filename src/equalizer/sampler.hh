@@ -60,11 +60,8 @@ class WarpStateSampler
         return e;
     }
 
-    /** Raw accumulated values (hardware-counter view; <= 1536 each). */
+    /** Raw accumulated active count (hardware-counter view; <= 1536). */
     std::int64_t rawActive() const { return active_; }
-    std::int64_t rawWaiting() const { return waiting_; }
-    std::int64_t rawAlu() const { return alu_; }
-    std::int64_t rawMem() const { return mem_; }
     int samples() const { return samples_; }
 
     /** Start a new epoch. */
@@ -76,6 +73,14 @@ class WarpStateSampler
         alu_ = 0;
         mem_ = 0;
         samples_ = 0;
+    }
+
+    /** Field by field: the struct has 4 tail padding bytes. */
+    template <class V>
+    void
+    visitState(V &v)
+    {
+        v.fields(active_, waiting_, alu_, mem_, samples_);
     }
 
   private:

@@ -1,14 +1,16 @@
 #include "lsu.hh"
 
-#include <algorithm>
-
 namespace equalizer
 {
 
 LoadStoreUnit::LoadStoreUnit(const GpuConfig &cfg, SmId sm, L1Cache &l1,
                              MemorySystem &mem_system)
     : cfg_(cfg), sm_(sm), l1_(l1), memSystem_(mem_system),
-      hitWakeups_(/*capacity=*/4096)
+      queue_(static_cast<std::size_t>(cfg.lsuQueueDepth)),
+      // At most lsuThroughput hits enter per SM cycle and each leaves
+      // l1HitLatency cycles later (the drain runs before the LSU ticks).
+      hitWakeups_(static_cast<std::size_t>(cfg.lsuThroughput) *
+                  (cfg.mem.l1HitLatency + 1))
 {
 }
 
@@ -17,9 +19,7 @@ LoadStoreUnit::accept(WarpId warp, const WarpInstruction &inst)
 {
     EQ_ASSERT(canAccept(), "LSU accept() without canAccept()");
     EQ_ASSERT(inst.op == OpClass::Mem, "LSU fed a non-memory instruction");
-    queue_.push_back(Entry{inst, warp, 0});
-    queueHighWater_ = std::max<std::uint64_t>(queueHighWater_,
-                                              queue_.size());
+    queue_.push(Entry{inst, warp, 0});
     acceptedThisCycle_ = true;
 }
 
@@ -63,7 +63,7 @@ LoadStoreUnit::tick(Cycle sm_now)
     }
 
     if (head.next >= head.inst.transactionCount)
-        queue_.pop_front();
+        queue_.pop();
 }
 
 bool

@@ -11,7 +11,6 @@
 #define EQ_GPU_LSU_HH
 
 #include <cstdint>
-#include <deque>
 #include <type_traits>
 
 #include "common/types.hh"
@@ -41,8 +40,7 @@ class LoadStoreUnit
     bool
     canAccept() const
     {
-        return !acceptedThisCycle_ &&
-               static_cast<int>(queue_.size()) < cfg_.lsuQueueDepth;
+        return !acceptedThisCycle_ && !queue_.full();
     }
 
     /** Enqueue a warp memory instruction (canAccept() must hold). */
@@ -70,11 +68,7 @@ class LoadStoreUnit
     bool empty() const { return queue_.empty(); }
 
     /** Queue at capacity (the gate that turns ready warps X_mem). */
-    bool
-    queueFull() const
-    {
-        return static_cast<int>(queue_.size()) >= cfg_.lsuQueueDepth;
-    }
+    bool queueFull() const { return queue_.full(); }
 
     // --- Fast-path support (docs/FAST_PATH.md).
 
@@ -107,13 +101,7 @@ class LoadStoreUnit
      * Deepest queue occupancy since the last call; resets to the
      * current depth. Sampled per tracer epoch (HighWater events).
      */
-    std::uint64_t
-    takeQueueHighWater()
-    {
-        const std::uint64_t hw = queueHighWater_;
-        queueHighWater_ = queue_.size();
-        return hw;
-    }
+    std::uint64_t takeQueueHighWater() { return queue_.takeHighWater(); }
 
     std::uint64_t transactionsIssued() const { return transactions_; }
     std::uint64_t blockedCycles() const { return blockedCycles_; }
@@ -127,13 +115,15 @@ class LoadStoreUnit
         // v2: queue high-water mark, so HighWater trace events after a
         // restore match an uninterrupted run's (docs/TRACING.md). v3:
         // queued instructions name a line range, not 32 line addresses.
-        v.beginSection("lsu", 3);
+        // v4: the queue is a bounded ring (capacity check, high-water
+        // mark in the queue); hit wakeups hold lsuThroughput x
+        // (l1HitLatency + 1) entries, written field by field.
+        v.beginSection("lsu", 4);
         v.field(queue_);
         v.field(acceptedThisCycle_);
         v.field(hitWakeups_);
         v.field(transactions_);
         v.field(blockedCycles_);
-        v.field(queueHighWater_);
         v.endSection();
     }
 
@@ -141,7 +131,7 @@ class LoadStoreUnit
     struct Entry
     {
         WarpInstruction inst;
-        WarpId warp;
+        WarpId warp = 0;
         int next = 0; ///< next transaction index
     };
     static_assert(std::has_unique_object_representations_v<Entry>);
@@ -151,14 +141,13 @@ class LoadStoreUnit
     L1Cache &l1_;
     MemorySystem &memSystem_;
 
-    std::deque<Entry> queue_;
+    BoundedQueue<Entry> queue_;
     bool acceptedThisCycle_ = false;
 
     DelayQueue<WarpId> hitWakeups_;
 
     std::uint64_t transactions_ = 0;
     std::uint64_t blockedCycles_ = 0;
-    std::uint64_t queueHighWater_ = 0;
 };
 
 } // namespace equalizer

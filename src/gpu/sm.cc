@@ -733,8 +733,9 @@ StreamingMultiprocessor::visitState(StateVisitor &v)
     }
     // v2: warp slots no longer carry a per-cycle outcome. v3: a warp's
     // head instruction names a line range, not 32 line addresses, and
-    // the unused transaction cursor is gone.
-    v.beginSection("sm", 3);
+    // the unused transaction cursor is gone. v4: block slots are written
+    // field by field (no padding bytes).
+    v.beginSection("sm", 4);
     v.expectMatch(id_, "SM id");
     v.field(warpsPerBlock_);
     v.field(blockSlots_);

@@ -280,6 +280,13 @@ class StreamingMultiprocessor
         BlockId block = -1;
         int warpsDone = 0;
         std::uint64_t assignOrder = 0; ///< for youngest-first pausing
+
+        /** Field by field: the struct has 6 padding bytes. */
+        void
+        visitState(StateVisitor &v)
+        {
+            v.fields(occupied, paused, block, warpsDone, assignOrder);
+        }
     };
 
     /** One bit per warp slot. */

@@ -8,7 +8,7 @@ namespace equalizer
 PartitionPolicy
 partitionPolicyFromName(const std::string &name)
 {
-    if (name == "rr" || name == "round-robin")
+    if (name == "rr")
         return PartitionPolicy::RoundRobin;
     if (name == "blocked")
         return PartitionPolicy::Blocked;

@@ -10,7 +10,6 @@
 #define EQ_GPU_TENANT_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -30,7 +29,7 @@ enum class PartitionPolicy
     Blocked,
 };
 
-/** Parse "rr"/"round-robin" or "blocked"; fatal() otherwise. */
+/** Parse "rr" or "blocked"; fatal() otherwise. */
 PartitionPolicy partitionPolicyFromName(const std::string &name);
 
 /** Knob-level name of @p policy ("rr" or "blocked"). */
@@ -131,7 +130,7 @@ class Tenant
     popQueue()
     {
         const KernelLaunch *k = queue_.front().launch;
-        queue_.pop_front();
+        queue_.erase(queue_.begin());
         return k;
     }
 
@@ -188,7 +187,7 @@ class Tenant
     std::uint64_t limitedCycles_ = 0;
     std::uint64_t elapsedCycles_ = 0;
 
-    std::deque<Pending> queue_;
+    std::vector<Pending> queue_; ///< a few launches; front is next
 
     std::string gaugeDispatched_;
     std::string gaugeDebt_;

@@ -110,7 +110,8 @@ DramPartition::tick(Cycle now)
 void
 DramPartition::visitState(StateVisitor &v)
 {
-    v.beginSection("dram", 1);
+    // v2: queued and in-service requests are written field by field.
+    v.beginSection("dram", 2);
     v.expectMatch(id_, "DRAM partition id");
     v.expectMatch(cap_, "DRAM queue capacity");
     v.field(queue_);

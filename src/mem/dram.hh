@@ -8,7 +8,6 @@
 #define EQ_MEM_DRAM_HH
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -73,7 +72,9 @@ class DramPartition
     struct Pending
     {
         MemAccess access;
-        Cycle enqueued;
+        Cycle enqueued = 0;
+
+        void visitState(StateVisitor &v) { v.fields(access, enqueued); }
     };
 
     /** Bank and row decode for a line within this partition. */
@@ -85,7 +86,8 @@ class DramPartition
     EnergyModel &energy_;
     std::size_t cap_;
 
-    std::deque<Pending> queue_;
+    /// Arrival order; FR-FCFS removes from anywhere, so not a ring.
+    std::vector<Pending> queue_;
     std::vector<std::int64_t> openRow_; ///< per bank; -1 when closed
 
     /// Request currently occupying the data bus (if any).

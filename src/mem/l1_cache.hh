@@ -131,8 +131,8 @@ class L1Cache
     visitState(StateVisitor &v)
     {
         // v2: the MSHR file gained its high-water mark. v3: tag lines
-        // carry a dirty bit.
-        v.beginSection("l1", 3);
+        // carry a dirty bit. v4: tag lines have no padding bytes.
+        v.beginSection("l1", 4);
         v.field(tags_);
         v.field(mshrs_);
         v.field(hits_);

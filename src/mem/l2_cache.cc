@@ -89,8 +89,9 @@ L2Partition::flush()
 void
 L2Partition::visitState(StateVisitor &v)
 {
-    // v2: the dirty bits live in the tag lines.
-    v.beginSection("l2", 2);
+    // v2: the dirty bits live in the tag lines. v3: padding-free tag
+    // lines; queued accesses written field by field.
+    v.beginSection("l2", 3);
     v.field(tags_);
     v.field(input_);
     v.field(output_);

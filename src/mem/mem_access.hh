@@ -14,13 +14,6 @@ namespace equalizer
 /** Bytes per cache line / DRAM burst throughout the model. */
 inline constexpr Addr lineBytes = 128;
 
-/** Align an address down to its line. */
-constexpr Addr
-lineAlign(Addr a)
-{
-    return a & ~(lineBytes - 1);
-}
-
 /**
  * One 128-byte memory transaction.
  *
@@ -34,6 +27,10 @@ struct MemAccess
     WarpId warp = 0;     ///< warp to wake when data returns
     bool write = false;  ///< store (no response needed)
     bool texture = false;///< texture path: deep buffering, no LSU pressure
+
+    /** Field by field: the struct has 6 padding bytes. */
+    template <class V>
+    void visitState(V &v) { v.fields(lineAddr, sm, warp, write, texture); }
 };
 
 } // namespace equalizer

@@ -5,19 +5,18 @@ namespace equalizer
 
 MemorySystem::MemorySystem(const MemConfig &cfg, int num_sms,
                            EnergyModel &energy)
-    : cfg_(cfg), energy_(energy), numSms_(num_sms)
+    : cfg_(cfg), energy_(energy), numSms_(num_sms),
+      injectQueues_(static_cast<std::size_t>(num_sms),
+                    BoundedQueue<MemAccess>(cfg_.smInjectQueueCap)),
+      texQueues_(static_cast<std::size_t>(num_sms),
+                 BoundedQueue<MemAccess>(cfg_.texInjectQueueCap)),
+      responseQueues_(static_cast<std::size_t>(num_sms),
+                      DelayQueue<MemAccess>(cfg_.smResponseQueueCap)),
+      responseReadyAt_(static_cast<std::size_t>(num_sms), noWakeup)
 {
-    for (int s = 0; s < num_sms; ++s) {
-        injectQueues_.push_back(
-            std::make_unique<BoundedQueue<MemAccess>>(cfg_.smInjectQueueCap));
-        texQueues_.push_back(
-            std::make_unique<BoundedQueue<MemAccess>>(cfg_.texInjectQueueCap));
-        responseQueues_.push_back(std::make_unique<DelayQueue<MemAccess>>(
-            cfg_.smResponseQueueCap));
-    }
-    responseReadyAt_.assign(static_cast<std::size_t>(num_sms), noWakeup);
+    partitions_.reserve(static_cast<std::size_t>(cfg_.numPartitions));
     for (int p = 0; p < cfg_.numPartitions; ++p)
-        partitions_.push_back(std::make_unique<L2Partition>(cfg_, p, energy));
+        partitions_.emplace_back(cfg_, p, energy);
 }
 
 int
@@ -31,9 +30,9 @@ void
 MemorySystem::tick(Cycle now)
 {
     ++tickCount_;
-    for (const auto &p : partitions_) {
-        p->tick(now);
-        dramQueueDepthSum_ += p->dram().queueDepth();
+    for (auto &p : partitions_) {
+        p.tick(now);
+        dramQueueDepthSum_ += p.dram().queueDepth();
     }
 
     // --- Request network: move up to nocRequestBwPerCycle transactions
@@ -43,15 +42,14 @@ MemorySystem::tick(Cycle now)
         const int sm = (rrSm_ + scanned) % numSms_;
         // The regular (L1 miss/store) path has priority; the texture path
         // fills any leftover slot for this SM.
-        for (auto *queue :
-             {injectQueues_[static_cast<std::size_t>(sm)].get(),
-              texQueues_[static_cast<std::size_t>(sm)].get()}) {
+        for (auto *queue : {&injectQueues_[static_cast<std::size_t>(sm)],
+                            &texQueues_[static_cast<std::size_t>(sm)]}) {
             if (request_budget == 0 || queue->empty())
                 continue;
             MemAccess &head = queue->front();
             auto &dest = partitions_[static_cast<std::size_t>(
                                          partitionOf(head.lineAddr))]
-                             ->input();
+                             .input();
             if (dest.full())
                 continue; // head-of-line block for this queue
             if (queue->full() && fullPopHook_)
@@ -73,11 +71,10 @@ MemorySystem::tick(Cycle now)
     for (int scanned = 0; scanned < nparts && response_budget > 0;
          ++scanned) {
         const int p = (rrPartition_ + scanned) % nparts;
-        auto &out = partitions_[static_cast<std::size_t>(p)]->output();
+        auto &out = partitions_[static_cast<std::size_t>(p)].output();
         while (response_budget > 0 && out.headReady(now)) {
             const MemAccess &head = out.front();
-            auto &dest =
-                *responseQueues_[static_cast<std::size_t>(head.sm)];
+            auto &dest = responseQueues_[static_cast<std::size_t>(head.sm)];
             if (dest.full())
                 break; // head-of-line block for this partition
             MemAccess access = *out.popReady(now);
@@ -96,7 +93,7 @@ std::vector<MemAccess>
 MemorySystem::drainResponses(SmId sm, Cycle mem_now, int max_n)
 {
     std::vector<MemAccess> out;
-    auto &queue = *responseQueues_[static_cast<std::size_t>(sm)];
+    auto &queue = responseQueues_[static_cast<std::size_t>(sm)];
     while (static_cast<int>(out.size()) < max_n) {
         auto access = queue.popReady(mem_now);
         if (!access)
@@ -110,8 +107,8 @@ MemorySystem::drainResponses(SmId sm, Cycle mem_now, int max_n)
 void
 MemorySystem::flushCaches()
 {
-    for (const auto &p : partitions_)
-        p->flush();
+    for (auto &p : partitions_)
+        p.flush();
 }
 
 std::uint64_t
@@ -119,7 +116,7 @@ MemorySystem::l2Hits() const
 {
     std::uint64_t total = 0;
     for (const auto &p : partitions_)
-        total += p->hits();
+        total += p.hits();
     return total;
 }
 
@@ -128,7 +125,7 @@ MemorySystem::l2Misses() const
 {
     std::uint64_t total = 0;
     for (const auto &p : partitions_)
-        total += p->misses();
+        total += p.misses();
     return total;
 }
 
@@ -137,7 +134,7 @@ MemorySystem::dramAccesses() const
 {
     std::uint64_t total = 0;
     for (const auto &p : partitions_)
-        total += p->dram().accesses();
+        total += p.dram().accesses();
     return total;
 }
 
@@ -146,7 +143,7 @@ MemorySystem::dramRowHits() const
 {
     std::uint64_t total = 0;
     for (const auto &p : partitions_)
-        total += p->dram().rowHits();
+        total += p.dram().rowHits();
     return total;
 }
 
@@ -155,7 +152,7 @@ MemorySystem::dramPoweredDownCycles() const
 {
     std::uint64_t total = 0;
     for (const auto &p : partitions_)
-        total += p->dram().poweredDownCycles();
+        total += p.dram().poweredDownCycles();
     return total;
 }
 
@@ -170,19 +167,21 @@ MemorySystem::meanDramQueueDepth() const
 void
 MemorySystem::visitState(StateVisitor &v)
 {
-    // v2: bounded queues gained their high-water marks.
-    v.beginSection("memsys", 2);
+    // v2: bounded queues gained their high-water marks. v3: queued
+    // accesses are written field by field (no padding bytes), and the
+    // response queues carry a high-water mark too.
+    v.beginSection("memsys", 3);
     v.expectMatch(numSms_, "SM count");
     v.expectMatch(static_cast<int>(partitions_.size()),
                   "partition count");
     for (auto &q : injectQueues_)
-        v.field(*q);
+        v.field(q);
     for (auto &q : texQueues_)
-        v.field(*q);
+        v.field(q);
     for (auto &p : partitions_)
-        v.field(*p);
+        v.field(p);
     for (auto &q : responseQueues_)
-        v.field(*q);
+        v.field(q);
     v.field(rrSm_);
     v.field(rrPartition_);
     v.field(dramQueueDepthSum_);

@@ -10,7 +10,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/types.hh"
@@ -45,13 +44,13 @@ class MemorySystem
     /** L1-miss/store injection FIFO of one SM. */
     BoundedQueue<MemAccess> &smInjectQueue(SmId sm)
     {
-        return *injectQueues_[static_cast<std::size_t>(sm)];
+        return injectQueues_[static_cast<std::size_t>(sm)];
     }
 
     /** Texture-path injection FIFO of one SM (deep, rarely full). */
     BoundedQueue<MemAccess> &texInjectQueue(SmId sm)
     {
-        return *texQueues_[static_cast<std::size_t>(sm)];
+        return texQueues_[static_cast<std::size_t>(sm)];
     }
 
     /** Advance the memory system by one memory-domain cycle. */
@@ -96,7 +95,7 @@ class MemorySystem
     {
         if (responseReadyAt(sm) > mem_now)
             return;
-        auto &queue = *responseQueues_[static_cast<std::size_t>(sm)];
+        auto &queue = responseQueues_[static_cast<std::size_t>(sm)];
         while (auto access = queue.popReady(mem_now))
             fn(*access);
         noteResponseHead(sm);
@@ -121,7 +120,7 @@ class MemorySystem
 
     L2Partition &partition(int i)
     {
-        return *partitions_[static_cast<std::size_t>(i)];
+        return partitions_[static_cast<std::size_t>(i)];
     }
 
     void visitState(StateVisitor &v);
@@ -133,7 +132,7 @@ class MemorySystem
     void
     noteResponseHead(SmId sm)
     {
-        const auto &queue = *responseQueues_[static_cast<std::size_t>(sm)];
+        const auto &queue = responseQueues_[static_cast<std::size_t>(sm)];
         responseReadyAt_[static_cast<std::size_t>(sm)] =
             queue.empty() ? noWakeup : queue.headReadyAt();
     }
@@ -142,12 +141,14 @@ class MemorySystem
     EnergyModel &energy_;
     int numSms_;
 
-    std::vector<std::unique_ptr<BoundedQueue<MemAccess>>> injectQueues_;
-    std::vector<std::unique_ptr<BoundedQueue<MemAccess>>> texQueues_;
-    std::vector<std::unique_ptr<L2Partition>> partitions_;
+    // Sized once at construction and never resized: the L1s hold
+    // references to their injection queues.
+    std::vector<BoundedQueue<MemAccess>> injectQueues_;
+    std::vector<BoundedQueue<MemAccess>> texQueues_;
+    std::vector<L2Partition> partitions_;
 
     /// Response network: one delayed FIFO per SM.
-    std::vector<std::unique_ptr<DelayQueue<MemAccess>>> responseQueues_;
+    std::vector<DelayQueue<MemAccess>> responseQueues_;
 
     /// Head readyAt of each response queue (noWakeup: empty). Derived
     /// state, never serialized.

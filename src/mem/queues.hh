@@ -9,93 +9,24 @@
 #ifndef EQ_MEM_QUEUES_HH
 #define EQ_MEM_QUEUES_HH
 
-#include <deque>
 #include <optional>
 
+#include "common/bounded_queue.hh"
 #include "common/log.hh"
 #include "common/types.hh"
-#include "sim/state.hh"
 
 namespace equalizer
 {
 
-/** A FIFO with a fixed capacity; push fails when full. */
+/** An item and the cycle from which it is visible. */
 template <typename T>
-class BoundedQueue
+struct Delayed
 {
-  public:
-    explicit BoundedQueue(std::size_t capacity) : capacity_(capacity) {}
+    T item{};
+    Cycle readyAt = 0;
 
-    bool full() const { return items_.size() >= capacity_; }
-    bool empty() const { return items_.empty(); }
-    std::size_t size() const { return items_.size(); }
-    std::size_t capacity() const { return capacity_; }
-
-    /** @return false (and leaves the queue unchanged) when full. */
-    bool
-    push(T item)
-    {
-        if (full())
-            return false;
-        items_.push_back(std::move(item));
-        if (items_.size() > highWater_)
-            highWater_ = items_.size();
-        return true;
-    }
-
-    /**
-     * Deepest occupancy since the last call; resets to the current
-     * depth. Sampled per tracer epoch (HighWater events).
-     */
-    std::size_t
-    takeHighWater()
-    {
-        const std::size_t hw = highWater_;
-        highWater_ = items_.size();
-        return hw;
-    }
-
-    /** Front element; queue must be non-empty. */
-    T &
-    front()
-    {
-        EQ_ASSERT(!items_.empty(), "front() on empty queue");
-        return items_.front();
-    }
-
-    /** Read-only front element; queue must be non-empty. */
-    const T &
-    front() const
-    {
-        EQ_ASSERT(!items_.empty(), "front() on empty queue");
-        return items_.front();
-    }
-
-    /** Pop and return the front element, or nullopt when empty. */
-    std::optional<T>
-    pop()
-    {
-        if (items_.empty())
-            return std::nullopt;
-        T item = std::move(items_.front());
-        items_.pop_front();
-        return item;
-    }
-
-    void clear() { items_.clear(); }
-
-    void
-    visitState(StateVisitor &v)
-    {
-        v.expectMatch(capacity_, "bounded queue capacity");
-        v.field(items_);
-        v.field(highWater_);
-    }
-
-  private:
-    std::size_t capacity_;
-    std::deque<T> items_;
-    std::size_t highWater_ = 0;
+    template <class V>
+    void visitState(V &v) { v.fields(item, readyAt); }
 };
 
 /**
@@ -106,50 +37,32 @@ class BoundedQueue
  * constant-latency pipe fed in simulation order.
  */
 template <typename T>
-class DelayQueue
+class DelayQueue : public BoundedQueue<Delayed<T>>
 {
-  public:
-    explicit DelayQueue(std::size_t capacity) : capacity_(capacity) {}
+    using Base = BoundedQueue<Delayed<T>>;
 
-    bool full() const { return items_.size() >= capacity_; }
-    bool empty() const { return items_.empty(); }
-    std::size_t size() const { return items_.size(); }
-    std::size_t capacity() const { return capacity_; }
+  public:
+    using Base::Base;
 
     /** @return false (and leaves the queue unchanged) when full. */
     bool
     push(T item, Cycle ready_at)
     {
-        if (full())
-            return false;
-        EQ_ASSERT(items_.empty() || ready_at >= items_.back().readyAt,
+        EQ_ASSERT(this->full() || this->empty() ||
+                      ready_at >= this->back().readyAt,
                   "DelayQueue requires non-decreasing ready times");
-        items_.push_back(Entry{std::move(item), ready_at});
-        return true;
+        return Base::push(Delayed<T>{std::move(item), ready_at});
     }
 
     /** True when the head element exists and is ready at @p now. */
     bool
     headReady(Cycle now) const
     {
-        return !items_.empty() && items_.front().readyAt <= now;
+        return !this->empty() && Base::front().readyAt <= now;
     }
 
     /** Peek the head element; it must exist (ready or not). */
-    T &
-    front()
-    {
-        EQ_ASSERT(!items_.empty(), "front() on empty delay queue");
-        return items_.front().item;
-    }
-
-    /** Read-only peek at the head element; it must exist. */
-    const T &
-    front() const
-    {
-        EQ_ASSERT(!items_.empty(), "front() on empty delay queue");
-        return items_.front().item;
-    }
+    T &front() { return Base::front().item; }
 
     /**
      * Cycle at which the head element becomes visible; the queue must
@@ -157,12 +70,7 @@ class DelayQueue
      * earliest deadline in the queue — the fast path's wakeup source
      * for in-flight pipe traffic.
      */
-    Cycle
-    headReadyAt() const
-    {
-        EQ_ASSERT(!items_.empty(), "headReadyAt() on empty delay queue");
-        return items_.front().readyAt;
-    }
+    Cycle headReadyAt() const { return Base::front().readyAt; }
 
     /** Pop the head element if ready at @p now. */
     std::optional<T>
@@ -170,29 +78,8 @@ class DelayQueue
     {
         if (!headReady(now))
             return std::nullopt;
-        T item = std::move(items_.front().item);
-        items_.pop_front();
-        return item;
+        return std::optional<T>(std::move(Base::pop()->item));
     }
-
-    void clear() { items_.clear(); }
-
-    void
-    visitState(StateVisitor &v)
-    {
-        v.expectMatch(capacity_, "delay queue capacity");
-        v.field(items_);
-    }
-
-  private:
-    struct Entry
-    {
-        T item;
-        Cycle readyAt;
-    };
-
-    std::size_t capacity_;
-    std::deque<Entry> items_;
 };
 
 } // namespace equalizer

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/types.hh"
@@ -84,15 +85,18 @@ class TagArray
     }
 
   private:
+    /// Saved as raw bytes in bulk, so every byte is a named field.
     struct Line
     {
         Addr tag = 0;
+        std::uint64_t lastUse = 0;
+        int owner = -1;
         bool valid = false;
         bool dirty = false;
-        int owner = -1;
-        std::uint64_t lastUse = 0;
+        std::uint16_t spare = 0; ///< fills what would be padding
     };
-    static_assert(sizeof(Line) == 24, "the dirty bit fills padding");
+    static_assert(sizeof(Line) == 24);
+    static_assert(std::has_unique_object_representations_v<Line>);
 
     int setIndex(Addr line_addr) const;
     Addr tagOf(Addr line_addr) const;

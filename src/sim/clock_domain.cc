@@ -64,7 +64,8 @@ ClockDomain::resetStats()
 void
 ClockDomain::visitState(StateVisitor &v)
 {
-    v.beginSection("clk", 1);
+    // v2: a pending VF change is written field by field.
+    v.beginSection("clk", 2);
     v.expectMatch(name_, "clock domain name");
     v.expectMatch(nominalHz_, "clock domain nominal frequency");
     v.field(state_);

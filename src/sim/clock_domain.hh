@@ -113,8 +113,10 @@ class ClockDomain
     VfState state_;
     struct Pending
     {
-        VfState target;
-        Tick at;
+        VfState target = VfState::Normal;
+        Tick at = 0;
+
+        void visitState(StateVisitor &v) { v.fields(target, at); }
     };
     std::optional<Pending> pending_;
 

@@ -22,7 +22,6 @@
 #define EQ_SIM_STATE_HH
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <optional>
 #include <string>
@@ -129,6 +128,14 @@ class StateVisitor
         }
     }
 
+    /** field() each member in turn: a struct's visitState in one call. */
+    template <typename... Ts>
+    void
+    fields(Ts &...members)
+    {
+        (field(members), ...);
+    }
+
     /**
      * Serialize a container's element count. On load the count is
      * checked against the section's remaining bytes (checkCount()), so
@@ -153,15 +160,17 @@ class StateVisitor
             bytes(s.data(), n);
     }
 
+    /** One raw block unless the elements need their own visitState(). */
     template <typename T>
     void
     field(std::vector<T> &vec)
     {
-        const std::size_t n = count(
-            vec.size(), std::is_trivially_copyable_v<T> ? sizeof(T) : 1);
+        constexpr bool raw = std::is_trivially_copyable_v<T> &&
+                             !detail::HasVisitState<T>::value;
+        const std::size_t n = count(vec.size(), raw ? sizeof(T) : 1);
         if (!saving())
             vec.resize(n);
-        if constexpr (std::is_trivially_copyable_v<T>) {
+        if constexpr (raw) {
             if (!vec.empty())
                 bytes(vec.data(), vec.size() * sizeof(T));
         } else {
@@ -182,17 +191,6 @@ class StateVisitor
             if (!saving())
                 vec[i] = b != 0;
         }
-    }
-
-    template <typename T>
-    void
-    field(std::deque<T> &q)
-    {
-        const std::size_t n = count(q.size(), 1);
-        if (!saving())
-            q.resize(n);
-        for (auto &e : q)
-            field(e);
     }
 
     template <typename T>

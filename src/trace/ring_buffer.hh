@@ -1,6 +1,6 @@
 /**
  * @file
- * The per-SM trace ring: a fixed-capacity FIFO of TraceEvents with
+ * The per-SM trace ring: a BoundedQueue of TraceEvents with
  * counted-drop overflow semantics.
  *
  * Each ring is written only by its own SM's tick and drained at tracer
@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/bounded_queue.hh"
 #include "trace/trace_event.hh"
 
 namespace equalizer
@@ -23,10 +24,7 @@ namespace equalizer
 class TraceRing
 {
   public:
-    explicit TraceRing(std::size_t capacity)
-        : buf_(capacity ? capacity : 1)
-    {
-    }
+    explicit TraceRing(std::size_t capacity) : events_(capacity) {}
 
     /**
      * Append one event. When the ring is full the event is dropped and
@@ -36,24 +34,16 @@ class TraceRing
     void
     push(const TraceEvent &e)
     {
-        if (size_ == buf_.size()) {
+        if (!events_.push(e))
             ++drops_;
-            return;
-        }
-        buf_[(head_ + size_) % buf_.size()] = e;
-        ++size_;
     }
 
     /** Move every buffered event, FIFO order, into @p out. */
     void
     drainInto(std::vector<TraceEvent> &out)
     {
-        while (size_ > 0) {
-            out.push_back(buf_[head_]);
-            head_ = (head_ + 1) % buf_.size();
-            --size_;
-        }
-        head_ = 0;
+        while (auto e = events_.pop())
+            out.push_back(*e);
     }
 
     /** Events dropped since the last takeDrops(). */
@@ -68,14 +58,12 @@ class TraceRing
         return d;
     }
 
-    bool empty() const { return size_ == 0; }
-    std::size_t size() const { return size_; }
-    std::size_t capacity() const { return buf_.size(); }
+    bool empty() const { return events_.empty(); }
+    std::size_t size() const { return events_.size(); }
+    std::size_t capacity() const { return events_.capacity(); }
 
   private:
-    std::vector<TraceEvent> buf_;
-    std::size_t head_ = 0;
-    std::size_t size_ = 0;
+    BoundedQueue<TraceEvent> events_;
     std::uint64_t drops_ = 0;
 };
 

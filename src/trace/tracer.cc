@@ -52,8 +52,7 @@ Tracer::attach(int num_sms)
     }
     const std::size_t cap =
         std::max<std::size_t>(1, cfg_.bufKb * 1024 / sizeof(TraceEvent));
-    for (int i = 0; i < num_sms; ++i)
-        rings_.push_back(std::make_unique<TraceRing>(cap));
+    rings_.assign(static_cast<std::size_t>(num_sms), TraceRing(cap));
 
     TraceHeader h;
     h.numSms = static_cast<std::uint32_t>(num_sms);
@@ -68,7 +67,7 @@ Tracer::drainRings(Cycle cycle)
         return;
     lastCycle_ = cycle;
     for (std::size_t s = 0; s < rings_.size(); ++s) {
-        TraceRing &ring = *rings_[s];
+        TraceRing &ring = rings_[s];
         ring.drainInto(pending_);
         const std::uint64_t drops = ring.takeDrops();
         if (drops > 0) {

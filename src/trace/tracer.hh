@@ -17,7 +17,6 @@
 #define EQ_TRACE_TRACER_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "trace/gauge.hh"
@@ -66,7 +65,7 @@ class Tracer
     /** The ring an SM writes into during its tick. */
     TraceRing *ring(int sm)
     {
-        return rings_[static_cast<std::size_t>(sm)].get();
+        return &rings_[static_cast<std::size_t>(sm)];
     }
 
     /** True when @p cycle is a drain boundary (one mask test). */
@@ -108,7 +107,7 @@ class Tracer
     TraceConfig cfg_;
     TraceSink &sink_;
     Cycle epochMask_;
-    std::vector<std::unique_ptr<TraceRing>> rings_;
+    std::vector<TraceRing> rings_; ///< sized once, by attach()
     std::vector<TraceEvent> pending_;
     GaugeRegistry gauges_;
     Cycle lastCycle_ = 0;

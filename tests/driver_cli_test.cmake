@@ -46,3 +46,8 @@ expect_fatal(${EQSIM} "overflows a byte count"
 if(EXISTS "${trace_file}")
     message(FATAL_ERROR "eqsim left ${trace_file} behind after a fatal")
 endif()
+
+# The LSU queue's ring is allocated up front, so its depth is checked
+# first (a depth of 0 used to hang the run with no LSU entry free).
+expect_fatal(${EQSIM} "lsu_depth= must be in .1, 4096., got 0"
+             kernel=sgemm lsu_depth=0)

@@ -117,6 +117,37 @@ TEST_F(LsuTest, HitWakeupArrivesAfterL1Latency)
     EXPECT_EQ(warps[0], 3);
 }
 
+TEST_F(LsuTest, StreamedHitsAtFullThroughputFitTheWakeupRing)
+{
+    // At most lsuThroughput hits enter per cycle and each leaves
+    // l1HitLatency cycles later, which is what sizes the wakeup ring.
+    // Stream hits for three latencies; a ring too small for them trips
+    // the overflow assert.
+    const int lines = cfg.lsuThroughput;
+    for (int t = 0; t < lines; ++t) {
+        const Addr line = 0x8000 + static_cast<Addr>(t) * lineBytes;
+        l1.access(9, line, false);
+        l1.fill(line, [](WarpId) {});
+    }
+    WarpInstruction inst = loadInst(0x8000);
+    inst.transactionCount = lines;
+
+    const Cycle end = 3 * cfg.mem.l1HitLatency;
+    std::uint64_t returned = 0;
+    for (Cycle c = 1; c <= end; ++c) {
+        lsu.beginCycle();
+        returned += woken(c).size();
+        ASSERT_TRUE(lsu.canAccept()) << "cycle " << c;
+        lsu.accept(0, inst);
+        lsu.tick(c);
+    }
+    const auto hits = static_cast<std::uint64_t>(lines) * end;
+    EXPECT_EQ(lsu.transactionsIssued(), hits);
+    // The last l1HitLatency cycles' hits are still in flight.
+    EXPECT_EQ(hits - returned,
+              static_cast<std::uint64_t>(lines) * cfg.mem.l1HitLatency);
+}
+
 TEST_F(LsuTest, HeadBlocksWhenDownstreamFull)
 {
     // Fill the SM's injection queue directly.

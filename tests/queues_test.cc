@@ -5,7 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "mem/queues.hh"
+#include "sim/state.hh"
 
 namespace equalizer
 {
@@ -51,6 +55,103 @@ TEST(BoundedQueue, ClearEmpties)
     q.push(1);
     q.clear();
     EXPECT_TRUE(q.empty());
+}
+
+TEST(BoundedQueue, FifoOrderAcrossTheWrapPoint)
+{
+    BoundedQueue<int> q(3);
+    int next_in = 0;
+    int next_out = 0;
+    // Fill, then pop two: the head walks round the ring every round.
+    for (int round = 0; round < 10; ++round) {
+        while (q.push(next_in))
+            ++next_in;
+        EXPECT_EQ(q.size(), 3u);
+        for (int i = 0; i < 2; ++i)
+            EXPECT_EQ(*q.pop(), next_out++);
+    }
+    while (auto v = q.pop())
+        EXPECT_EQ(*v, next_out++);
+    EXPECT_EQ(next_out, next_in);
+}
+
+TEST(BoundedQueue, FullAndEmptyAtTheCapacity)
+{
+    BoundedQueue<int> q(2);
+    EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.full());
+    q.push(1);
+    EXPECT_FALSE(q.empty());
+    EXPECT_FALSE(q.full());
+    q.push(2);
+    EXPECT_TRUE(q.full());
+    EXPECT_EQ(q.size(), q.capacity());
+    q.pop();
+    q.pop();
+    EXPECT_TRUE(q.empty());
+    EXPECT_FALSE(q.full());
+
+    BoundedQueue<int> none(0);
+    EXPECT_TRUE(none.empty());
+    EXPECT_TRUE(none.full());
+    EXPECT_FALSE(none.push(1));
+    EXPECT_FALSE(none.pop().has_value());
+}
+
+std::vector<std::uint8_t>
+bytesOf(BoundedQueue<int> &q)
+{
+    BufferStateWriter w(0);
+    q.visitState(w);
+    return w.take();
+}
+
+TEST(BoundedQueue, WrappedQueueSavesTheBytesOfAFreshOne)
+{
+    BoundedQueue<int> wrapped(4);
+    for (int i = 0; i < 4; ++i)
+        wrapped.push(i);
+    for (int i = 0; i < 3; ++i)
+        wrapped.pop();
+    wrapped.push(4); // the head sits in the last slot; 4 and 5 wrap
+    wrapped.push(5);
+    BoundedQueue<int> fresh(4);
+    for (int i : {3, 4, 5})
+        fresh.push(i);
+    // The high-water mark is state too: bring both to their depth.
+    wrapped.takeHighWater();
+    fresh.takeHighWater();
+    EXPECT_EQ(bytesOf(wrapped), bytesOf(fresh));
+
+    BoundedQueue<int> loaded(4);
+    BufferStateReader r(bytesOf(wrapped), 0);
+    loaded.visitState(r);
+    r.finish();
+    for (int i : {3, 4, 5})
+        EXPECT_EQ(*loaded.pop(), i);
+    EXPECT_TRUE(loaded.empty());
+}
+
+TEST(BoundedQueueDeath, LoadingMoreItemsThanTheCapacityIsFatal)
+{
+    // A forged image: capacity 2, but a count of 3 with three items.
+    BufferStateWriter w(0);
+    std::size_t capacity = 2;
+    w.field(capacity);
+    std::uint64_t count = 3;
+    w.field(count);
+    for (int item : {1, 2, 3})
+        w.field(item);
+    std::size_t high_water = 3;
+    w.field(high_water);
+    const auto buf = w.take();
+    EXPECT_EXIT(
+        {
+            BoundedQueue<int> q(2);
+            BufferStateReader r(buf, 0);
+            q.visitState(r);
+        },
+        ::testing::ExitedWithCode(1), "holds 3 items; its capacity is 2");
 }
 
 TEST(BoundedQueueDeath, FrontOnEmptyPanics)

@@ -101,6 +101,28 @@ TEST(TraceRing, OverflowDropsNewestAndCounts)
     EXPECT_EQ(ring.drops(), 0u);
 }
 
+TEST(TraceRing, DropsAndCountsAcrossTheWrapPoint)
+{
+    TraceRing ring(4);
+    std::vector<TraceEvent> out;
+    for (int i = 0; i < 3; ++i)
+        ring.push(makeSmEvent(TraceEventKind::BlockComplete, 100, 0, i));
+    ring.drainInto(out); // the head now sits in the last slot
+    out.clear();
+
+    for (int i = 3; i < 9; ++i)
+        ring.push(makeSmEvent(TraceEventKind::BlockComplete, 100, 0, i));
+    EXPECT_EQ(ring.size(), 4u);
+    EXPECT_EQ(ring.drops(), 2u);
+
+    // The four that fit come out oldest first; the two newest dropped.
+    ring.drainInto(out);
+    ASSERT_EQ(out.size(), 4u);
+    for (int i = 0; i < 4; ++i)
+        EXPECT_EQ(out[static_cast<std::size_t>(i)].p.i[0], 3 + i);
+    EXPECT_EQ(ring.takeDrops(), 2u);
+}
+
 TEST(TraceRing, TracerTurnsOverflowIntoDropsEvents)
 {
     MemoryTraceSink sink;
