@@ -783,6 +783,15 @@ main(int argc, char **argv)
                                   static_cast<double>(m.outcomeCycles)
                             : 0.0) +
                     " of SM cycles)"});
+    const std::uint64_t partition_cycles =
+        m.memCycles * static_cast<std::uint64_t>(gcfg.mem.numPartitions);
+    timing.row({"partition ticks run",
+                std::to_string(m.partitionTicks) + " (" +
+                    pct(partition_cycles
+                            ? static_cast<double>(m.partitionTicks) /
+                                  static_cast<double>(partition_cycles)
+                            : 0.0) +
+                    " of memory cycles)"});
     timing.row({"invocations",
                 std::to_string(r.invocations.size())});
     timing.print();

@@ -31,6 +31,7 @@ GpuTop::GpuTop(GpuConfig cfg, PowerConfig power)
     memSystem_.setFullPopHook([this](SmId s) {
         sms_[static_cast<std::size_t>(s)]->wake();
     });
+    memSystem_.setPartitionSleep(cfg_.fastPath);
     energy_.setDomainStates(smDomain_.state(), memDomain_.state());
     smInvocation_.assign(static_cast<std::size_t>(cfg_.numSms), -1);
     configureTenants({});
@@ -75,6 +76,7 @@ GpuTop::settleSms()
 {
     for (const auto &sm : sms_)
         sm->settle(smDomain_.cycle());
+    memSystem_.settle();
 }
 
 void
@@ -83,6 +85,7 @@ GpuTop::setCycleObserver(std::function<void(GpuTop &)> observer)
     for (const auto &sm : sms_)
         sm->wake();
     observer_ = std::move(observer);
+    memSystem_.setPartitionSleep(cfg_.fastPath && !observer_);
 }
 
 void
@@ -468,6 +471,7 @@ GpuTop::beginRun(const std::string &label, Cycle max_sm_cycles)
     run_.active = true;
     ffAtRunStart_ = fastForwardedCycles_;
     ticksAtRunStart_ = smTicks_;
+    partitionTicksAtRunStart_ = memSystem_.partitionTicks();
 }
 
 RunMetrics
@@ -542,6 +546,8 @@ GpuTop::finishRun()
     m.dramRowHits = after.dramRowHits - before.dramRowHits;
     m.fastForwardedCycles = fastForwardedCycles_ - ffAtRunStart_;
     m.smTicks = smTicks_ - ticksAtRunStart_;
+    m.partitionTicks =
+        memSystem_.partitionTicks() - partitionTicksAtRunStart_;
     return m;
 }
 
@@ -597,6 +603,10 @@ GpuTop::rebuildSmInvocationMap()
 void
 GpuTop::visitState(StateVisitor &v, ControllerMismatch on_mismatch)
 {
+    // Lazily credited memory-side energy must be in the energy section,
+    // which is written before the memory system.
+    if (v.saving())
+        memSystem_.settle();
     v.beginSection("gpu", 2);
     v.field(smDomain_);
     v.field(memDomain_);

@@ -86,7 +86,7 @@ class GpuTop
     /**
      * Install a per-SM-cycle observer (tracing for figures). Runs after
      * the controller hook. It may read anything, so while one is
-     * installed every SM ticks every cycle.
+     * installed every SM and every L2 partition ticks every cycle.
      */
     void setCycleObserver(std::function<void(GpuTop &)> observer);
 
@@ -326,7 +326,10 @@ class GpuTop
      */
     void tickSms(Cycle mem_now);
 
-    /** Credit every sleeping SM's lag, leaving it asleep. */
+    /**
+     * Credit every sleeping SM's lag and every sleeping L2 partition's
+     * slept memory cycles, leaving them asleep.
+     */
     void settleSms();
 
     /** Whole-run setup shared by runKernel() and runTenants(). */
@@ -406,6 +409,7 @@ class GpuTop
     Cycle ffAtRunStart_ = 0;  ///< counter value at beginRun()
     std::uint64_t smTicks_ = 0; ///< SM ticks run (RunMetrics::smTicks)
     std::uint64_t ticksAtRunStart_ = 0;
+    std::uint64_t partitionTicksAtRunStart_ = 0;
 };
 
 } // namespace equalizer

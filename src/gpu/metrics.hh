@@ -61,6 +61,13 @@ struct RunMetrics
      */
     std::uint64_t smTicks = 0;
 
+    /**
+     * L2 partition ticks actually run, summed over partitions: the rest
+     * of the memCycles x partitions were slept. Diagnostic only, like
+     * fastForwardedCycles.
+     */
+    std::uint64_t partitionTicks = 0;
+
     /// Time at each VF state, per domain (for Figure 9).
     std::array<Tick, numVfStates> smResidency{};
     std::array<Tick, numVfStates> memResidency{};
@@ -100,6 +107,7 @@ struct RunMetrics
         dramRowHits += o.dramRowHits;
         fastForwardedCycles += o.fastForwardedCycles;
         smTicks += o.smTicks;
+        partitionTicks += o.partitionTicks;
         // Time-weighted combine of the power-down fraction.
         const Cycle mc = memCycles; // already includes o.memCycles
         if (mc > 0) {

@@ -150,6 +150,11 @@ SchedulerCore::step(Cycle n_cycles)
             return StepStatus::Running;
         }
         if (g.memDomain_.nextEdge() <= g.smDomain_.nextEdge()) {
+            // Sleeping partitions' deferred L2 energy is priced at the
+            // memory voltage it was spent at.
+            if (g.memDomain_.transitionPending() &&
+                g.memDomain_.pendingAt() <= g.memDomain_.nextEdge())
+                g.memSystem_.settle();
             g.memDomain_.advance();
             g.energy_.setDomainStates(g.smDomain_.state(),
                                       g.memDomain_.state());

@@ -1,5 +1,7 @@
 #include "dram.hh"
 
+#include <algorithm>
+
 namespace equalizer
 {
 
@@ -30,13 +32,37 @@ DramPartition::rowOf(Addr line_addr) const
     return local / cfg_.linesPerRow / cfg_.banksPerPartition;
 }
 
+DramPartition::Pending
+DramPartition::pending(const MemAccess &access, Cycle now) const
+{
+    return Pending{access, now, bankOf(access.lineAddr),
+                   static_cast<std::int64_t>(rowOf(access.lineAddr))};
+}
+
 bool
 DramPartition::submit(const MemAccess &access, Cycle now)
 {
     if (full())
         return false;
-    queue_.push_back(Pending{access, now});
+    queue_.push_back(pending(access, now));
     return true;
+}
+
+void
+DramPartition::creditIdle(Cycle from, Cycle until)
+{
+    if (inService_ || !queue_.empty() || from >= until)
+        return;
+    // tick() powers down at the first cycle lastActive_ + idle cycles.
+    if (!poweredDown_ && cfg_.dramPowerDownIdleCycles > 0) {
+        const Cycle at = lastActive_ + cfg_.dramPowerDownIdleCycles;
+        if (at < until) {
+            poweredDown_ = true;
+            from = std::max(from, at);
+        }
+    }
+    if (poweredDown_)
+        poweredDownCycles_ += until - from;
 }
 
 std::optional<MemAccess>
@@ -66,10 +92,8 @@ DramPartition::tick(Cycle now)
         std::size_t pick = 0;
         bool found_hit = false;
         for (std::size_t i = 0; i < queue_.size(); ++i) {
-            const Addr a = queue_[i].access.lineAddr;
-            const int bank = bankOf(a);
-            if (openRow_[static_cast<std::size_t>(bank)] ==
-                static_cast<std::int64_t>(rowOf(a))) {
+            if (openRow_[static_cast<std::size_t>(queue_[i].bank)] ==
+                queue_[i].row) {
                 pick = i;
                 found_hit = true;
                 break;
@@ -79,15 +103,13 @@ DramPartition::tick(Cycle now)
         Pending p = queue_[pick];
         queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(pick));
 
-        const int bank = bankOf(p.access.lineAddr);
-        const auto row = static_cast<std::int64_t>(rowOf(p.access.lineAddr));
         Cycle service;
         if (found_hit) {
             service = cfg_.dramRowHitCycles;
             ++rowHits_;
         } else {
             service = cfg_.dramRowMissCycles;
-            openRow_[static_cast<std::size_t>(bank)] = row;
+            openRow_[static_cast<std::size_t>(p.bank)] = p.row;
             energy_.record(EnergyEvent::DramActivate);
         }
         if (poweredDown_) {
@@ -125,6 +147,12 @@ DramPartition::visitState(StateVisitor &v)
     v.field(poweredDown_);
     v.field(poweredDownCycles_);
     v.endSection();
+    if (!v.saving()) {
+        for (auto &p : queue_)
+            p = pending(p.access, p.enqueued);
+        if (inService_)
+            inService_ = pending(inService_->access, inService_->enqueued);
+    }
 }
 
 } // namespace equalizer

@@ -49,6 +49,20 @@ class DramPartition
 
     std::size_t queueDepth() const { return queue_.size(); }
 
+    /** Whether a request occupies the data bus. */
+    bool inService() const { return inService_.has_value(); }
+
+    /** Memory cycle at which the request in service completes. */
+    Cycle busyUntil() const { return busyUntil_; }
+
+    /**
+     * Credit the memory cycles [@p from, @p until) that tick() would
+     * have spent idle: with nothing queued or in service a tick only
+     * powers the interface down after dramPowerDownIdleCycles and
+     * counts the powered-down cycles. A no-op while not idle.
+     */
+    void creditIdle(Cycle from, Cycle until);
+
     std::uint64_t accesses() const { return accesses_; }
     std::uint64_t rowHits() const { return rowHits_; }
 
@@ -73,9 +87,16 @@ class DramPartition
     {
         MemAccess access;
         Cycle enqueued = 0;
+        /// Bank and row of access.lineAddr, decoded at submit and on a
+        /// restore; never serialized.
+        int bank = 0;
+        std::int64_t row = 0;
 
         void visitState(StateVisitor &v) { v.fields(access, enqueued); }
     };
+
+    /** A queue entry for @p access with its bank and row decoded. */
+    Pending pending(const MemAccess &access, Cycle now) const;
 
     /** Bank and row decode for a line within this partition. */
     int bankOf(Addr line_addr) const;

@@ -4,7 +4,7 @@ namespace equalizer
 {
 
 L1Cache::L1Cache(const MemConfig &cfg, SmId sm,
-                 BoundedQueue<MemAccess> &miss_queue, EnergyModel &energy)
+                 FlaggedQueue<MemAccess> &miss_queue, EnergyModel &energy)
     : sm_(sm), tags_(cfg.l1Sets, cfg.l1Ways),
       mshrs_(cfg.l1MshrEntries, cfg.l1MaxMerges), missQueue_(miss_queue),
       energy_(energy)

@@ -54,7 +54,7 @@ class L1Cache
      * @param energy Energy sink for access events.
      */
     L1Cache(const MemConfig &cfg, SmId sm,
-            BoundedQueue<MemAccess> &miss_queue, EnergyModel &energy);
+            FlaggedQueue<MemAccess> &miss_queue, EnergyModel &energy);
 
     /**
      * Present one transaction. Loads probe the tags and may allocate an
@@ -149,7 +149,7 @@ class L1Cache
     SmId sm_;
     TagArray tags_;
     MshrFile mshrs_;
-    BoundedQueue<MemAccess> &missQueue_;
+    FlaggedQueue<MemAccess> &missQueue_;
     EnergyModel &energy_;
     EvictionHook evictionHook_;
     MissHook missHook_;

@@ -1,5 +1,7 @@
 #include "l2_cache.hh"
 
+#include <algorithm>
+
 namespace equalizer
 {
 
@@ -78,6 +80,46 @@ L2Partition::tick(Cycle now)
     }
 
     handleRequest(now);
+}
+
+Cycle
+L2Partition::wakeCycle(Cycle now) const
+{
+    // The DRAM ticks only while the output has room.
+    Cycle wake = noWakeup;
+    if (!output_.full()) {
+        if (dram_.inService())
+            wake = dram_.busyUntil();
+        else if (dram_.queueDepth() > 0)
+            return now + 1; // starts a burst
+    }
+    if (input_.empty())
+        return wake;
+    if (input_.headReadyAt() > now)
+        return std::min(wake, input_.headReadyAt());
+    const MemAccess &head = input_.front();
+    if (head.write || !blockedMiss(head))
+        return now + 1;
+    return wake;
+}
+
+bool
+L2Partition::blockedMiss(const MemAccess &head) const
+{
+    return dram_.full() && !tags_.probe(head.lineAddr);
+}
+
+void
+L2Partition::creditSleep(Cycle from, Cycle until)
+{
+    if (!output_.full())
+        dram_.creditIdle(from, until);
+    if (input_.empty() || input_.front().write ||
+        !blockedMiss(input_.front()))
+        return;
+    const Cycle first = std::max(from, input_.headReadyAt());
+    if (first < until)
+        energy_.recordRepeated(EnergyEvent::L2Access, until - first);
 }
 
 void

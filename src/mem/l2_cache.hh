@@ -48,6 +48,24 @@ class L2Partition
     /** Advance one memory cycle. */
     void tick(Cycle now);
 
+    /**
+     * After tick(@p now): the first memory cycle at which a tick can do
+     * more than what creditSleep() replays, or noWakeup when only a
+     * push into the empty input or a pop from the full output can end
+     * that. Those ticks power an idle DRAM down and count its
+     * powered-down cycles, or retry a read miss blocked behind the full
+     * DRAM queue. A blocked read hit touches the LRU on every retry, so
+     * it keeps the partition awake.
+     */
+    Cycle wakeCycle(Cycle now) const;
+
+    /**
+     * Replay the memory cycles [@p from, @p until) the partition slept
+     * through (docs/FAST_PATH.md): the idle DRAM's power-down
+     * accounting and one L2Access event per blocked read-miss retry.
+     */
+    void creditSleep(Cycle from, Cycle until);
+
     /** Drop all cached lines and dirty state (kernel boundary). */
     void flush();
 
@@ -65,6 +83,9 @@ class L2Partition
     void installLine(Addr line_addr, bool dirty, Cycle now);
 
     void handleRequest(Cycle now);
+
+    /** Whether a read of @p head misses and the DRAM queue is full. */
+    bool blockedMiss(const MemAccess &head) const;
 
     const MemConfig &cfg_;
     EnergyModel &energy_;

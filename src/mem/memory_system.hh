@@ -32,6 +32,16 @@ namespace equalizer
  * saturation propagates back to the injection queues, which is the
  * back-pressure signal the LSU (and hence Equalizer's X_mem counter)
  * observes.
+ *
+ * A tick costs O(partitions and queues with work) (docs/FAST_PATH.md).
+ * The request network visits only the SMs flagged in a bit set that
+ * every push into their injection or texture queue sets; the response
+ * network only the partitions whose output head is ready. An L2
+ * partition sleeps while its ticks could only do what
+ * L2Partition::creditSleep() replays, until its wakeCycle(), a push
+ * into its empty input or a pop from its full output; settle() credits
+ * the slept cycles. partition(i) is for inspection: writing to a
+ * partition directly bypasses its wake-up.
  */
 class MemorySystem
 {
@@ -41,20 +51,40 @@ class MemorySystem
 
     MemorySystem(const MemConfig &cfg, int num_sms, EnergyModel &energy);
 
+    // The injection queues point into this object's SM bit set.
+    MemorySystem(const MemorySystem &) = delete;
+    MemorySystem &operator=(const MemorySystem &) = delete;
+
     /** L1-miss/store injection FIFO of one SM. */
-    BoundedQueue<MemAccess> &smInjectQueue(SmId sm)
+    FlaggedQueue<MemAccess> &smInjectQueue(SmId sm)
     {
         return injectQueues_[static_cast<std::size_t>(sm)];
     }
 
     /** Texture-path injection FIFO of one SM (deep, rarely full). */
-    BoundedQueue<MemAccess> &texInjectQueue(SmId sm)
+    FlaggedQueue<MemAccess> &texInjectQueue(SmId sm)
     {
         return texQueues_[static_cast<std::size_t>(sm)];
     }
 
     /** Advance the memory system by one memory-domain cycle. */
     void tick(Cycle now);
+
+    /**
+     * Let partitions sleep (the default) or tick every partition on
+     * every memory cycle; switching off settles and wakes them all.
+     */
+    void setPartitionSleep(bool on);
+
+    /**
+     * Credit every sleeping partition's cycles through the last memory
+     * cycle ticked, leaving it asleep. Lazily credited state (DRAM
+     * power-down cycles, blocked-retry L2 energy) is exact after this.
+     */
+    void settle();
+
+    /** Partition ticks run since construction (a diagnostic). */
+    std::uint64_t partitionTicks() const { return partitionTicks_; }
 
     /**
      * Install the hook the request network calls before it pops from a
@@ -128,6 +158,29 @@ class MemorySystem
   private:
     int partitionOf(Addr line_addr) const;
 
+    /** Credit partition @p p's slept cycles before @p until. */
+    void creditPartition(std::size_t p, Cycle until);
+
+    /** Settle partition @p p through now_ and tick it next cycle. */
+    void wakePartition(std::size_t p);
+
+    /** Tick partition @p p at @p now and choose its next wake cycle. */
+    void tickPartition(std::size_t p, Cycle now);
+
+    /** Move SM @p sm's queue heads toward the partitions. */
+    void injectFrom(int sm, int &budget, Cycle now);
+
+    /** Refresh outputReadyAt_[p] from partition @p p's output head. */
+    void
+    noteOutputHead(std::size_t p)
+    {
+        const auto &out = partitions_[p].output();
+        outputReadyAt_[p] = out.empty() ? noWakeup : out.headReadyAt();
+    }
+
+    /** Rebuild the derived state below from the queues and partitions. */
+    void rebuildDerived();
+
     /** Refresh responseReadyAt_[sm] from its queue's head. */
     void
     noteResponseHead(SmId sm)
@@ -143,8 +196,8 @@ class MemorySystem
 
     // Sized once at construction and never resized: the L1s hold
     // references to their injection queues.
-    std::vector<BoundedQueue<MemAccess>> injectQueues_;
-    std::vector<BoundedQueue<MemAccess>> texQueues_;
+    std::vector<FlaggedQueue<MemAccess>> injectQueues_;
+    std::vector<FlaggedQueue<MemAccess>> texQueues_;
     std::vector<L2Partition> partitions_;
 
     /// Response network: one delayed FIFO per SM.
@@ -153,6 +206,33 @@ class MemorySystem
     /// Head readyAt of each response queue (noWakeup: empty). Derived
     /// state, never serialized.
     std::vector<Cycle> responseReadyAt_;
+
+    // Derived state, never serialized; a restore rebuilds it and wakes
+    // every partition.
+
+    /// Bit sm (word sm / 64) is set by every push into SM sm's
+    /// injection or texture queue and cleared by the request network
+    /// once both are empty. Never resized: the queues point into it.
+    std::vector<std::uint64_t> injectMask_;
+
+    /// Head readyAt of each partition's output (noWakeup: empty).
+    std::vector<Cycle> outputReadyAt_;
+
+    /// Memory cycle at which each partition next ticks; 0 until its
+    /// first tick and always while partition sleep is off.
+    std::vector<Cycle> wakeAt_;
+
+    /// First memory cycle each partition has neither ticked nor been
+    /// credited for; noWakeup (nothing to credit) until its first tick.
+    std::vector<Cycle> creditedUntil_;
+
+    /// Sum of the DRAM queue depths (dramQueueDepthSum_ adds it per
+    /// tick).
+    std::uint64_t dramDepth_ = 0;
+
+    bool partitionSleep_ = true;
+    Cycle now_ = 0; ///< last memory cycle ticked
+    std::uint64_t partitionTicks_ = 0;
 
     FullPopHook fullPopHook_;
 

@@ -9,6 +9,7 @@
 #ifndef EQ_MEM_QUEUES_HH
 #define EQ_MEM_QUEUES_HH
 
+#include <cstdint>
 #include <optional>
 
 #include "common/bounded_queue.hh"
@@ -63,6 +64,7 @@ class DelayQueue : public BoundedQueue<Delayed<T>>
 
     /** Peek the head element; it must exist (ready or not). */
     T &front() { return Base::front().item; }
+    const T &front() const { return Base::front().item; }
 
     /**
      * Cycle at which the head element becomes visible; the queue must
@@ -80,6 +82,56 @@ class DelayQueue : public BoundedQueue<Delayed<T>>
             return std::nullopt;
         return std::optional<T>(std::move(Base::pop()->item));
     }
+};
+
+/**
+ * A bounded FIFO whose every successful push sets one bit in a word the
+ * owner scans, so the scan visits only queues that may hold items (the
+ * memory system's request network). The push itself sets the bit,
+ * whoever pushes; the scanner clears it once the queues behind it are
+ * empty. It derives privately from BoundedQueue, so no caller can push
+ * past the flag through a base reference.
+ */
+template <typename T>
+class FlaggedQueue : private BoundedQueue<T>
+{
+    using Base = BoundedQueue<T>;
+
+  public:
+    using Base::Base;
+    using Base::back;
+    using Base::capacity;
+    using Base::clear;
+    using Base::empty;
+    using Base::front;
+    using Base::full;
+    using Base::pop;
+    using Base::size;
+    using Base::takeHighWater;
+    using Base::visitState;
+
+    /** Set @p bit in @p *word on every push (nullptr: flag nothing). */
+    void
+    flagInto(std::uint64_t *word, std::uint64_t bit)
+    {
+        word_ = word;
+        bit_ = bit;
+    }
+
+    /** @return false (and leaves the queue unchanged) when full. */
+    bool
+    push(T item)
+    {
+        if (!Base::push(std::move(item)))
+            return false;
+        if (word_)
+            *word_ |= bit_;
+        return true;
+    }
+
+  private:
+    std::uint64_t *word_ = nullptr;
+    std::uint64_t bit_ = 0;
 };
 
 } // namespace equalizer

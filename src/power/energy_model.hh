@@ -161,6 +161,19 @@ class EnergyModel
     }
 
     /**
+     * Deposit @p n events into the shared shard as n separate
+     * single-event deposits, like recordRepeated(sm, e, n) below. A
+     * sleeping L2 partition replays its blocked read-miss retries with
+     * this.
+     */
+    void
+    recordRepeated(EnergyEvent e, std::uint64_t n)
+    {
+        for (std::uint64_t i = 0; i < n; ++i)
+            deposit(serial_, e, 1.0, 1);
+    }
+
+    /**
      * Deposit @p n events into the shard of SM @p sm as n separate
      * single-event deposits.
      *

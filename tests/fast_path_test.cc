@@ -203,6 +203,13 @@ TEST_P(FastPathIdentity, MetricsMatchSlowPath)
     EXPECT_LE(fast.total.smTicks,
               (fast.total.smCycles - fast.total.fastForwardedCycles) *
                   GpuConfig::gtx480().numSms);
+    // The slow path ticks every L2 partition every memory cycle; on
+    // the fast path partitions sleep.
+    const std::uint64_t partition_cycles =
+        slow.total.memCycles *
+        static_cast<std::uint64_t>(GpuConfig::gtx480().mem.numPartitions);
+    EXPECT_EQ(slow.total.partitionTicks, partition_cycles);
+    EXPECT_LT(fast.total.partitionTicks, partition_cycles);
 }
 
 /** Same guarantee under a live Equalizer controller. */
@@ -521,6 +528,10 @@ TEST(FastPathEngagement, KnobDisablesSkipping)
     const RunMetrics m = gpu.runKernel(k);
     EXPECT_EQ(m.fastForwardedCycles, 0u);
     EXPECT_EQ(m.smTicks, m.smCycles * 4); // no SM ever sleeps
+    // Nor does any L2 partition.
+    EXPECT_EQ(m.partitionTicks,
+              m.memCycles * static_cast<std::uint64_t>(
+                                gpu.memorySystem().numPartitions()));
 }
 
 // --- Checkpointing out of a sleep-heavy run ----------------------------

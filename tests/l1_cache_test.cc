@@ -33,7 +33,7 @@ class L1CacheTest : public ::testing::Test
     }
 
     MemConfig cfg = MemConfig::gtx480();
-    BoundedQueue<MemAccess> queue;
+    FlaggedQueue<MemAccess> queue;
     EnergyModel energy;
     L1Cache l1;
 };
@@ -84,7 +84,7 @@ TEST_F(L1CacheTest, BlockedWhenMshrsExhausted)
     // MSHR capacity is smaller than what the queue alone would allow.
     MemConfig small = cfg;
     small.l1MshrEntries = 2;
-    BoundedQueue<MemAccess> big_queue(64);
+    FlaggedQueue<MemAccess> big_queue(64);
     L1Cache tiny(small, 0, big_queue, energy);
     EXPECT_EQ(tiny.access(0, 0 * 128, false), L1Cache::Result::MissIssued);
     EXPECT_EQ(tiny.access(0, 1 * 128, false), L1Cache::Result::MissIssued);
@@ -95,7 +95,7 @@ TEST_F(L1CacheTest, MergeListFullBlocks)
 {
     MemConfig small = cfg;
     small.l1MaxMerges = 2;
-    BoundedQueue<MemAccess> big_queue(64);
+    FlaggedQueue<MemAccess> big_queue(64);
     L1Cache tiny(small, 0, big_queue, energy);
     tiny.access(0, 0x1000, false);
     tiny.access(1, 0x1000, false);

@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <vector>
 
 #include "mem/memory_system.hh"
+#include "sim/state.hh"
 
 namespace equalizer
 {
@@ -291,6 +293,231 @@ TEST(StagedInjectQueues, BackPressureIsIdenticalAcrossModes)
     }
     EXPECT_EQ(accepted, cfg.smInjectQueueCap);
     EXPECT_TRUE(q.full());
+}
+
+// --- Partition sleep and the request network's SM mask ---------------
+
+/**
+ * One memory system run twice: `lazy` lets partitions sleep (the
+ * default), `eager` ticks every partition every cycle (fast_path=0).
+ * Both get the same pushes and drains.
+ */
+struct SleepPair
+{
+    static constexpr int numSms = 2;
+
+    explicit SleepPair(const MemConfig &cfg)
+        : lazy(cfg, numSms, lazyEnergy), eager(cfg, numSms, eagerEnergy)
+    {
+        eager.setPartitionSleep(false);
+    }
+
+    /** Push @p access into SM @p sm's injection queue of both. */
+    void
+    push(SmId sm, const MemAccess &access)
+    {
+        const bool a = lazy.smInjectQueue(sm).push(access);
+        const bool b = eager.smInjectQueue(sm).push(access);
+        ASSERT_EQ(a, b);
+    }
+
+    /** Tick both at @p now, then drain the responses of @p drained. */
+    void
+    tick(Cycle now, std::initializer_list<SmId> drained = {0})
+    {
+        lazy.tick(now);
+        eager.tick(now);
+        for (auto *m : {&lazy, &eager})
+            for (SmId sm : drained)
+                m->drainReadyResponses(sm, now, [](const MemAccess &) {});
+    }
+
+    EnergyModel lazyEnergy;
+    EnergyModel eagerEnergy;
+    MemorySystem lazy;
+    MemorySystem eager;
+};
+
+std::vector<std::uint8_t>
+bytesOf(MemorySystem &mem)
+{
+    BufferStateWriter w(0);
+    mem.visitState(w);
+    return w.take();
+}
+
+/** Settle @p pair's lazy side, then require both sides to be equal. */
+void
+expectSameState(SleepPair &pair)
+{
+    pair.lazy.settle();
+    EXPECT_EQ(bytesOf(pair.lazy), bytesOf(pair.eager));
+    for (auto e : {EnergyEvent::NocFlit, EnergyEvent::L2Access,
+                   EnergyEvent::DramActivate, EnergyEvent::DramAccess}) {
+        EXPECT_EQ(pair.lazyEnergy.eventCount(e),
+                  pair.eagerEnergy.eventCount(e));
+        EXPECT_EQ(pair.lazyEnergy.dynamicJoules(e),
+                  pair.eagerEnergy.dynamicJoules(e));
+    }
+    EXPECT_EQ(pair.lazy.dramPoweredDownCycles(),
+              pair.eager.dramPoweredDownCycles());
+}
+
+MemAccess
+loadOf(Addr line, SmId sm)
+{
+    MemAccess a;
+    a.lineAddr = line;
+    a.sm = sm;
+    return a;
+}
+
+TEST(MemorySleep, PushAfterTheScanClearedTheSmBitIsDelivered)
+{
+    EnergyModel energy;
+    MemorySystem mem(MemConfig::gtx480(), 4, energy);
+    mem.smInjectQueue(2).push(loadOf(0x1000, 2));
+    mem.tick(1);
+    // The scan moved SM 2's only request and cleared its bit.
+    ASSERT_TRUE(mem.smInjectQueue(2).empty());
+    mem.smInjectQueue(2).push(loadOf(0x2000, 2));
+    mem.texInjectQueue(3).push(loadOf(0x3000, 3));
+    int delivered = 0;
+    for (Cycle now = 2; now < 600; ++now) {
+        mem.tick(now);
+        for (SmId sm : {2, 3})
+            mem.drainReadyResponses(
+                sm, now, [&delivered](const MemAccess &) { ++delivered; });
+    }
+    EXPECT_EQ(delivered, 3);
+    EXPECT_EQ(mem.l2Misses(), 3u);
+}
+
+TEST(MemorySleep, BlockedReadMissCreditsEveryRetry)
+{
+    // Distinct rows of partition 0 behind a two-entry DRAM queue and a
+    // slow data bus: the input head waits dozens of cycles for room,
+    // retrying (one L2 access) every cycle while the partition sleeps.
+    MemConfig cfg = MemConfig::gtx480();
+    cfg.dramQueueCap = 2;
+    cfg.dramRowMissCycles = 50;
+    SleepPair pair(cfg);
+    const Addr row_stride = static_cast<Addr>(cfg.numPartitions) *
+                            cfg.linesPerRow * cfg.banksPerPartition *
+                            lineBytes;
+    Addr next = 0;
+    for (Cycle now = 1; now <= 3000; ++now) {
+        if (now < 1500 && !pair.lazy.smInjectQueue(0).full()) {
+            pair.push(0, loadOf(next, 0));
+            next += row_stride;
+        }
+        pair.tick(now);
+        if (now % 250 == 0)
+            expectSameState(pair);
+    }
+    expectSameState(pair);
+    // Retries outnumber the misses, and the lazy side slept through
+    // most of them.
+    EXPECT_GT(pair.lazyEnergy.eventCount(EnergyEvent::L2Access),
+              2 * pair.lazy.l2Misses());
+    EXPECT_LT(pair.lazy.partitionTicks(), pair.eager.partitionTicks() / 2);
+}
+
+TEST(MemorySleep, PowerDownSpanMatchesEagerTicksAcrossASave)
+{
+    const MemConfig cfg = MemConfig::gtx480();
+    SleepPair pair(cfg);
+    pair.push(0, loadOf(0, 0));
+    for (Cycle now = 1; now <= 700; ++now)
+        pair.tick(now);
+    // Partition 0 powered down 200 idle cycles after its access; the
+    // others from the start.
+    expectSameState(pair);
+    EXPECT_GT(pair.eager.dramPoweredDownCycles(), 6u * 300u);
+
+    // Restore the lazy side's save into a fresh memory system and run
+    // it on beside the eager one, through a power-up and down again.
+    EnergyModel resumed_energy;
+    MemorySystem resumed(cfg, SleepPair::numSms, resumed_energy);
+    BufferStateReader r(bytesOf(pair.lazy), 0);
+    resumed.visitState(r);
+    r.finish();
+    for (Cycle now = 701; now <= 1600; ++now) {
+        if (now == 1000) {
+            ASSERT_TRUE(resumed.smInjectQueue(0).push(loadOf(lineBytes, 0)));
+            ASSERT_TRUE(pair.eager.smInjectQueue(0).push(loadOf(lineBytes, 0)));
+        }
+        resumed.tick(now);
+        pair.eager.tick(now);
+    }
+    resumed.settle();
+    EXPECT_EQ(bytesOf(resumed), bytesOf(pair.eager));
+    EXPECT_EQ(resumed.dramPoweredDownCycles(),
+              pair.eager.dramPoweredDownCycles());
+    EXPECT_LT(resumed.partitionTicks(), 6u * 900u / 2);
+}
+
+TEST(MemorySleep, BlockedReadHitsTouchTheLruAsEagerTicksDo)
+{
+    // SM 1 never drains: its response queue fills, then partition 0's
+    // output, and the read hits at its input head block and retry,
+    // touching the LRU each time. The saved tags (LRU stamps included)
+    // must match eager ticks.
+    const MemConfig cfg = MemConfig::gtx480();
+    SleepPair pair(cfg);
+    const Addr stride = static_cast<Addr>(cfg.numPartitions) * lineBytes;
+    bool output_filled = false;
+    for (Cycle now = 1; now <= 2500; ++now) {
+        if (!pair.lazy.smInjectQueue(1).full())
+            pair.push(1, loadOf((now % 4) * stride, 1));
+        pair.tick(now);
+        output_filled |= pair.lazy.partition(0).output().full();
+        if (now % 500 == 0)
+            expectSameState(pair);
+    }
+    EXPECT_TRUE(output_filled);
+    // Most of the L2 accesses were blocked retries.
+    EXPECT_GT(pair.lazyEnergy.eventCount(EnergyEvent::L2Access),
+              pair.lazy.l2Hits() + pair.lazy.l2Misses() + 1000);
+}
+
+TEST(MemorySleep, PopFromAFullOutputWakesThePartition)
+{
+    // SM 1 misses on fresh lines of partition 0 and drains nothing
+    // until cycle 1500: its response queue, then the output fill, the
+    // DRAM freezes and the partition sleeps with nothing to wake it
+    // but the response network's pop once SM 1 drains.
+    const MemConfig cfg = MemConfig::gtx480();
+    SleepPair pair(cfg);
+    const Addr stride = static_cast<Addr>(cfg.numPartitions) * lineBytes;
+    bool output_filled = false;
+    Addr pushed = 0;
+    for (Cycle now = 1; now <= 3000; ++now) {
+        if (pushed < 320 && !pair.lazy.smInjectQueue(1).full())
+            pair.push(1, loadOf(pushed++ * stride, 1));
+        if (now < 1500)
+            pair.tick(now, {});
+        else
+            pair.tick(now, {1});
+        output_filled |= pair.lazy.partition(0).output().full();
+        if (now % 500 == 0)
+            expectSameState(pair);
+    }
+    EXPECT_TRUE(output_filled);
+    EXPECT_EQ(pair.lazy.l2Misses(), 320u);
+    EXPECT_EQ(pair.lazy.dramAccesses(), 320u);
+}
+
+TEST(MemorySleep, SleepOffTicksEveryPartitionEveryCycle)
+{
+    SleepPair pair(MemConfig::gtx480());
+    pair.push(0, loadOf(0, 0));
+    for (Cycle now = 1; now <= 500; ++now)
+        pair.tick(now);
+    const auto parts = static_cast<std::uint64_t>(pair.eager.numPartitions());
+    EXPECT_EQ(pair.eager.partitionTicks(), 500u * parts);
+    EXPECT_LT(pair.lazy.partitionTicks(), 500u * parts / 4);
+    expectSameState(pair);
 }
 
 } // namespace
